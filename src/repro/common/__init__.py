@@ -1,4 +1,4 @@
-"""Shared infrastructure: RNG, units, tables, colours, timing, errors, resilience."""
+"""Shared infrastructure: RNG, units, tables, colours, errors, resilience."""
 
 from repro.common.checkpoint import CHECKPOINT_FORMAT, CheckpointStore, Snapshot
 from repro.common.errors import (
@@ -29,7 +29,6 @@ from repro.common.supervisor import (
     Supervisor,
 )
 from repro.common.tables import Table, format_table, histogram_bar
-from repro.common.timing import Stopwatch, TimingResult, time_call
 
 __all__ = [
     "ReproError",
@@ -64,7 +63,4 @@ __all__ = [
     "Table",
     "format_table",
     "histogram_bar",
-    "Stopwatch",
-    "TimingResult",
-    "time_call",
 ]

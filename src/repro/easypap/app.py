@@ -2,8 +2,8 @@
 
 EASYPAP's main program wires a kernel variant to an interactive SDL window
 with monitoring; students run ``./run -k sandpile -v omp -ts 32``.  This
-module is the headless counterpart: :class:`EasyPapApp` resolves a
-variant from the registry, drives it to the fixpoint (or an iteration
+module is the headless counterpart: :class:`EasyPapApp` drives a
+:class:`~repro.easypap.job.SandpileJob` to the fixpoint (or an iteration
 budget), and on the way collects everything the interactive tools would
 show — periodic RGB frames (writable as a PPM sequence), per-iteration
 timing, and the execution trace.
@@ -16,6 +16,7 @@ timing, and the execution trace.
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,7 +26,7 @@ import numpy as np
 from repro.common.colors import sandpile_to_rgb, write_ppm
 from repro.common.errors import ConfigurationError
 from repro.easypap.grid import Grid2D
-from repro.easypap.kernel import get_variant
+from repro.easypap.job import SandpileJob
 from repro.easypap.monitor import Trace
 
 __all__ = ["AppResult", "EasyPapApp"]
@@ -80,8 +81,10 @@ class EasyPapApp:
         self.variant = variant
         self.grid = grid
         self.trace = Trace() if trace else None
-        info = get_variant(kernel, variant)
-        self._stepper = info.fn(grid, trace=self.trace, **options)
+        # run() enforces its own, non-raising budget
+        self._job = SandpileJob(
+            grid, kernel, variant, max_iterations=sys.maxsize, trace=self.trace, **options
+        )
 
     def close(self) -> None:
         """Release stepper resources (process pools, shared memory); idempotent.
@@ -89,9 +92,7 @@ class EasyPapApp:
         Only steppers on a process backend hold OS resources, but calling
         this is always safe.  The app is also usable as a context manager.
         """
-        close = getattr(self._stepper, "close", None)
-        if close is not None:
-            close()
+        self._job.close()
 
     def __enter__(self) -> "EasyPapApp":
         return self
@@ -108,6 +109,9 @@ class EasyPapApp:
     ) -> AppResult:
         """Run to the fixpoint or *max_iterations*, whichever comes first.
 
+        Iterations are executed grid iterations, as in
+        :func:`~repro.sandpile.simulate.run_to_fixpoint`.
+
         Parameters
         ----------
         frame_every:
@@ -123,30 +127,31 @@ class EasyPapApp:
         frame_iterations: list[int] = []
         iteration_seconds: list[float] = []
         converged = False
+        job = self._job
         t0 = time.perf_counter()
-        iteration = 0
-        while iteration < max_iterations:
+        while job.iterations < max_iterations:
+            before = job.iterations
             it_start = time.perf_counter()
-            changed = self._stepper()
+            changed = job.step()
             iteration_seconds.append(time.perf_counter() - it_start)
             if not changed:
                 converged = True
                 break
-            iteration += 1
-            if frame_every and iteration % frame_every == 0:
+            # a k-step call can jump over a multiple of frame_every
+            if frame_every and job.iterations // frame_every != before // frame_every:
                 frames.append(sandpile_to_rgb(self.grid.interior))
-                frame_iterations.append(iteration)
-            if on_iteration is not None and on_iteration(iteration, self.grid):
+                frame_iterations.append(job.iterations)
+            if on_iteration is not None and on_iteration(job.iterations, self.grid):
                 break
         wall = time.perf_counter() - t0
         # always include the final state as the last frame when collecting
         if frame_every:
             frames.append(sandpile_to_rgb(self.grid.interior))
-            frame_iterations.append(iteration)
+            frame_iterations.append(job.iterations)
         return AppResult(
             kernel=self.kernel,
             variant=self.variant,
-            iterations=iteration,
+            iterations=job.iterations,
             converged=converged,
             wall_seconds=wall,
             iteration_seconds=iteration_seconds,

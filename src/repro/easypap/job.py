@@ -1,8 +1,10 @@
 """The easypap substrate as a :class:`~repro.common.job.Job`.
 
-:class:`SandpileJob` drives any registered kernel variant — including
-``pfrontier`` on the process backend — one stepper iteration per protocol
-step, until the grid reaches its fixpoint.
+:class:`SandpileJob` is the one sandpile driver: it builds any registered
+kernel variant — including ``pfrontier`` on the process backend — runs
+one stepper call per protocol step until the grid reaches its fixpoint,
+and closes the stepper.  ``run_to_fixpoint``, ``EasyPapApp`` and
+``PerfCampaign`` all drive it.
 
 Checkpointing is **restore-by-rebuild**: a snapshot carries the full grid
 plane (interior + sink frame), the sink counter, and the iteration count;
@@ -22,11 +24,25 @@ import hashlib
 
 import numpy as np
 
-from repro.common.errors import CheckpointError, ConfigurationError
+from repro.common.errors import CheckpointError, ConfigurationError, SimulationError
 from repro.common.job import Job, JobProgress
 from repro.easypap.grid import Grid2D
+from repro.easypap.kernel import get_variant
 
-__all__ = ["SandpileJob"]
+__all__ = ["SandpileJob", "make_stepper"]
+
+
+def _variant_factory(kernel: str, variant: str):
+    # imported here: simulate registers the sandpile variants and imports
+    # this module, so a top-level import would be circular
+    import repro.sandpile.simulate  # noqa: F401
+
+    return get_variant(kernel, variant).fn
+
+
+def make_stepper(grid: Grid2D, kernel: str = "sandpile", variant: str = "vec", **options):
+    """Instantiate the stepper for ``kernel/variant`` on *grid*."""
+    return _variant_factory(kernel, variant)(grid, **options)
 
 
 class SandpileJob(Job):
@@ -34,9 +50,14 @@ class SandpileJob(Job):
 
     Parameters mirror :func:`repro.sandpile.simulate.run_to_fixpoint`;
     extra *options* flow to the variant factory (``tile_size``,
-    ``nworkers``, ``backend``, ``fault_injector``...).  The stepper is
-    built lazily on the first step so that a restored grid rebuilds its
-    stepper from the snapshot, not from the initial state.
+    ``nworkers``, ``backend``, ``fault_injector``...).  An unknown
+    ``kernel/variant`` raises ``KernelError`` here; the stepper is built
+    lazily on the first step so that a restored grid rebuilds its stepper
+    from the snapshot, not from the initial state.
+
+    :attr:`iterations` counts executed grid iterations (``k`` per call of
+    a temporally blocked stepper); a step taken once it has reached
+    *max_iterations* raises ``SimulationError``.
 
     The synchronous family is double-buffered (writes land off-plane
     until commit), so a raised step leaves the live plane intact and
@@ -56,6 +77,7 @@ class SandpileJob(Job):
         retryable: bool = True,
         **options,
     ) -> None:
+        self._factory = _variant_factory(kernel, variant)
         self.grid = grid
         self.kernel = kernel
         self.variant = variant
@@ -66,7 +88,9 @@ class SandpileJob(Job):
         self.supports_checkpoint = True
         self.iterations = 0
         self._done = False
-        self._stepper = None
+        #: the live stepper: built on the first step, dropped by close()
+        self.stepper = None
+        self._k = 1
         #: spec params when built via from_spec; None for direct-grid jobs
         self._spec_params: dict | None = None
         # construction-time grid digest: the describe() fallback for jobs
@@ -144,27 +168,21 @@ class SandpileJob(Job):
                               if isinstance(self.options[k], (int, float, str, bool))}
         return out
 
-    def _ensure_stepper(self):
-        if self._stepper is None:
-            # imported here: simulate imports executor/steppers, keep the
-            # adapter importable without pulling the whole stack eagerly
-            from repro.sandpile.simulate import make_stepper
-
-            self._stepper = make_stepper(self.grid, self.kernel, self.variant, **self.options)
-        return self._stepper
-
     # -- protocol ----------------------------------------------------------------
 
     def step(self) -> bool:
         if self._done:
             return False
         if self.iterations >= self.max_iterations:
-            raise CheckpointError(
+            raise SimulationError(
                 f"{self.name}: no fixpoint within {self.max_iterations} iterations"
             )
-        changed = self._ensure_stepper()()
-        if changed:
-            self.iterations += 1
+        stepper = self.stepper
+        if stepper is None:
+            stepper = self.stepper = self._factory(self.grid, **self.options)
+            self._k = getattr(stepper, "k", 1)
+        if stepper():
+            self.iterations += self._k
             return True
         self._done = True
         return False
@@ -186,7 +204,7 @@ class SandpileJob(Job):
         )
 
     def close(self) -> None:
-        stepper, self._stepper = self._stepper, None
+        stepper, self.stepper = self.stepper, None
         if stepper is not None:
             close = getattr(stepper, "close", None)
             if close is not None:

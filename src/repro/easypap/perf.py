@@ -3,10 +3,11 @@
 EASYPAP ships tooling to sweep a kernel over thread counts / tile sizes /
 policies and plot the resulting curves; students build their reports from
 those plots.  This module is the data side of that tooling: a
-:class:`PerfCampaign` runs a stepper factory over a parameter grid,
-collects per-run metrics (wall time, iterations, virtual makespan when a
-simulated backend is used), and produces speedup/efficiency series plus a
-rendered table — everything a report needs short of the actual pixels.
+:class:`PerfCampaign` runs a :class:`~repro.common.job.Job` factory over
+a parameter grid, collects per-run metrics (wall time, iterations,
+virtual makespan when a simulated backend is used), and produces
+speedup/efficiency series plus a rendered table — everything a report
+needs short of the actual pixels.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.common.errors import ConfigurationError
+from repro.common.job import Job
 from repro.common.tables import Table
 
 __all__ = ["PerfPoint", "PerfCampaign", "speedup_series"]
@@ -48,23 +50,25 @@ class PerfPoint:
 
 @dataclass
 class PerfCampaign:
-    """Run a ``setup -> stepper`` factory over a parameter grid.
+    """Run a ``params -> Job`` factory over a parameter grid.
 
     Parameters
     ----------
     factory:
-        ``factory(**params) -> stepper`` where the stepper is a nullary
-        callable returning False at the fixpoint (the convention used by
-        every stepper in :mod:`repro.sandpile`).  The factory must build a
-        *fresh* problem instance each call, so runs are independent.
+        ``factory(**params) -> Job``, typically a
+        :class:`~repro.easypap.job.SandpileJob`.  The factory must build a
+        *fresh* problem instance each call, so runs are independent.  Each
+        job is run to completion and closed; its wall time includes
+        building the stepper, and its iterations are
+        ``progress().steps_done``.
     grid:
         ``{param_name: [values...]}``; the campaign runs the full product.
     metrics:
-        Optional ``{name: fn(stepper) -> float}`` evaluated after each run
-        (e.g. lazy skip fraction, virtual time).
+        Optional ``{name: fn(job) -> float}`` evaluated after each run,
+        before the job is closed (e.g. lazy skip fraction, virtual time).
     """
 
-    factory: Callable[..., Callable[[], bool]]
+    factory: Callable[..., Job]
     grid: dict[str, list] = field(default_factory=dict)
     metrics: dict[str, Callable] = field(default_factory=dict)
     max_iterations: int = 10**7
@@ -77,22 +81,16 @@ class PerfCampaign:
             raise ConfigurationError("empty parameter grid")
         for values in itertools.product(*(self.grid[n] for n in names)):
             params = dict(zip(names, values))
-            stepper = self.factory(**params)
-            t0 = time.perf_counter()
-            iterations = 0
-            for _ in range(self.max_iterations):
-                if not stepper():
-                    break
-                iterations += 1
-            else:
-                raise ConfigurationError(f"no fixpoint for params {params}")
-            wall = time.perf_counter() - t0
-            extras = tuple((k, float(fn(stepper))) for k, fn in sorted(self.metrics.items()))
+            with self.factory(**params) as job:
+                t0 = time.perf_counter()
+                job.run(max_steps=self.max_iterations)
+                wall = time.perf_counter() - t0
+                extras = tuple((k, float(fn(job))) for k, fn in sorted(self.metrics.items()))
             self.points.append(
                 PerfPoint(
                     params=tuple(sorted(params.items())),
                     wall_seconds=wall,
-                    iterations=iterations,
+                    iterations=job.progress().steps_done,
                     extras=extras,
                 )
             )

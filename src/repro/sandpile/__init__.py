@@ -43,7 +43,6 @@ from repro.sandpile.model import center_pile, max_stable, random_uniform, sparse
 from repro.sandpile.mpi import DistributedResult, run_distributed
 from repro.sandpile.mpi2d import Distributed2DResult, run_distributed_2d
 from repro.sandpile.omp import TiledAsyncStepper, TiledSyncStepper, wave_partition
-from repro.sandpile.parallel_proc import ProcessSyncStepper
 from repro.sandpile.reference import (
     async_compute_new_state,
     async_step_reference,
@@ -94,7 +93,6 @@ __all__ = [
     "stabilize_reference",
     "LazyFlags",
     "TiledSyncStepper",
-    "ProcessSyncStepper",
     "TiledAsyncStepper",
     "wave_partition",
     "SyncVecStepper",

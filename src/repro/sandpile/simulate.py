@@ -4,7 +4,8 @@ This module plays EASYPAP's command-line role: every kernel variant of the
 four assignments is registered under the ``sandpile`` kernel (synchronous
 family) or ``asandpile`` (asynchronous family, the paper's ``asandPile``),
 and :func:`run_to_fixpoint` selects one by name, drives it until the grid
-is stable, and reports statistics.
+is stable through a :class:`~repro.easypap.job.SandpileJob`, and reports
+statistics.
 
 Registered variants
 -------------------
@@ -26,7 +27,8 @@ from dataclasses import dataclass, field
 from repro.common.resilience import DegradationLog, FaultInjector, RetryPolicy
 from repro.easypap.executor import SequentialBackend, make_backend
 from repro.easypap.grid import Grid2D
-from repro.easypap.kernel import get_variant, register_variant
+from repro.easypap.job import SandpileJob, make_stepper
+from repro.easypap.kernel import register_variant
 from repro.easypap.monitor import Trace
 from repro.sandpile.omp import TiledAsyncStepper, TiledSyncStepper
 from repro.sandpile.pfrontier import ParallelFrontierStepper
@@ -60,38 +62,6 @@ class RunResult:
         """Fraction of tile visits avoided by lazy evaluation."""
         total = self.tiles_computed + self.tiles_skipped
         return self.tiles_skipped / total if total else 0.0
-
-
-def _make_backend(
-    name: str,
-    nworkers: int,
-    policy: str,
-    chunk: int,
-    trace: Trace | None,
-    *,
-    retry: RetryPolicy | None = None,
-    task_timeout: float | None = None,
-    allow_fallback: bool = True,
-    degradation: DegradationLog | None = None,
-    fault_injector: FaultInjector | None = None,
-    metrics=None,
-):
-    # thin alias over the executor factory: "sequential", "simulated",
-    # "threads", or "process" (real worker processes over shared memory);
-    # the resilience knobs only matter for the process backend
-    return make_backend(
-        name,
-        nworkers,
-        policy=policy,
-        chunk=chunk,
-        trace=trace,
-        retry=retry,
-        task_timeout=task_timeout,
-        allow_fallback=allow_fallback,
-        degradation=degradation,
-        fault_injector=fault_injector,
-        metrics=metrics,
-    )
 
 
 # -- variant factories --------------------------------------------------------
@@ -150,8 +120,8 @@ def _sandpile_omp(
     fault_injector: FaultInjector | None = None,
     **_opts,
 ):
-    be = _make_backend(
-        backend, nworkers, policy, chunk, trace,
+    be = make_backend(
+        backend, nworkers, policy=policy, chunk=chunk, trace=trace,
         retry=retry, task_timeout=task_timeout,
         allow_fallback=allow_fallback, degradation=degradation,
         fault_injector=fault_injector,
@@ -184,8 +154,8 @@ def _sandpile_pfrontier(
     metrics=None,
     **_opts,
 ):
-    be = _make_backend(
-        backend, nworkers, policy, chunk, trace,
+    be = make_backend(
+        backend, nworkers, policy=policy, chunk=chunk, trace=trace,
         retry=retry, task_timeout=task_timeout,
         allow_fallback=allow_fallback, degradation=degradation,
         fault_injector=fault_injector, metrics=metrics,
@@ -259,8 +229,8 @@ def _asandpile_omp(
     fault_injector: FaultInjector | None = None,
     **_opts,
 ):
-    be = _make_backend(
-        backend, nworkers, policy, chunk, trace,
+    be = make_backend(
+        backend, nworkers, policy=policy, chunk=chunk, trace=trace,
         retry=retry, task_timeout=task_timeout,
         allow_fallback=allow_fallback, degradation=degradation,
         fault_injector=fault_injector,
@@ -269,12 +239,6 @@ def _asandpile_omp(
 
 
 # -- driver ---------------------------------------------------------------------
-
-
-def make_stepper(grid: Grid2D, kernel: str = "sandpile", variant: str = "vec", **options):
-    """Instantiate the stepper for ``kernel/variant`` on *grid*."""
-    info = get_variant(kernel, variant)
-    return info.fn(grid, **options)
 
 
 def run_to_fixpoint(
@@ -292,55 +256,40 @@ def run_to_fixpoint(
     The grid is modified in place; it is also carried in the result as
     ``final_grid`` for convenience.  Additional *options* are passed to the
     variant factory (``tile_size``, ``nworkers``, ``policy``, ``chunk``,
-    ``backend``, ``lazy``...).
+    ``backend``, ``lazy``...).  ``iterations`` counts executed grid
+    iterations; :class:`~repro.common.errors.SimulationError` is raised
+    when *max_iterations* of them pass without reaching the fixpoint.
 
     *obs* (a :class:`repro.obs.Tracer`) records one wall-clock span per
-    iteration under the ``easypap`` track group.  A falsy tracer (None or
-    :class:`repro.obs.NullTracer`) keeps the untraced fast loop — the
+    stepper call under the ``easypap`` track group, named after the grid
+    iteration the call starts from.  A falsy tracer (None or
+    :class:`repro.obs.NullTracer`) costs one branch per call — the
     hot-path guard the overhead benchmark holds to <=5%.
     """
-    stepper = make_stepper(grid, kernel, variant, trace=trace, **options)
-    iterations = 0
-    try:
-        if obs:
-            for _ in range(max_iterations):
+    traced = bool(obs)
+    with SandpileJob(
+        grid, kernel, variant, max_iterations=max_iterations, trace=trace, **options
+    ) as job:
+        more = True
+        while more:
+            if traced:
                 with obs.span(
-                    f"iteration {iterations}",
+                    f"iteration {job.iterations}",
                     cat="iteration",
                     pid="easypap",
                     tid="driver",
                 ) as span_args:
-                    span_args["iteration"] = iterations
+                    span_args["iteration"] = job.iterations
                     span_args["kernel"] = kernel
                     span_args["variant"] = variant
-                    changed = stepper()
-                if not changed:
-                    break
-                iterations += 1
+                    more = job.step()
             else:
-                raise RuntimeError(
-                    f"{kernel}/{variant}: no fixpoint within {max_iterations} iterations"
-                )
-        else:
-            for _ in range(max_iterations):
-                if not stepper():
-                    break
-                iterations += 1
-            else:
-                raise RuntimeError(
-                    f"{kernel}/{variant}: no fixpoint within {max_iterations} iterations"
-                )
-    finally:
-        # steppers on a process backend own OS resources (pool + shm)
-        close = getattr(stepper, "close", None)
-        if close is not None:
-            close()
+                more = job.step()
+        stepper = job.stepper
     return RunResult(
         kernel=kernel,
         variant=variant,
-        # a temporally-blocked stepper advances k grid iterations per call;
-        # report executed grid iterations, not dispatches
-        iterations=iterations * getattr(stepper, "k", 1),
+        iterations=job.iterations,
         final_grid=grid,
         tiles_computed=getattr(stepper, "tiles_computed", 0),
         tiles_skipped=getattr(stepper, "tiles_skipped", 0),

@@ -114,8 +114,10 @@ def _ensure_builtins() -> None:
     from repro.simmpi.job import SimMpiJob
     from repro.wrench.job import WrenchJob
 
+    # version 2: iterations count grid iterations (k per call), not calls
     register_workload(
-        "easypap", "sandpile", SandpileJob.from_spec, defaults=SandpileJob.SPEC_DEFAULTS
+        "easypap", "sandpile", SandpileJob.from_spec,
+        defaults=SandpileJob.SPEC_DEFAULTS, version=2,
     )
     register_workload(
         "mapreduce", "wordcount", MapReduceStepJob.from_spec,

@@ -1,29 +1,41 @@
 """Tests for the performance-campaign tooling."""
 
+import multiprocessing
+
 import pytest
 
 from repro.common.errors import ConfigurationError
+from repro.common.job import Job, JobProgress
+from repro.easypap.executor import ProcessBackend
 from repro.easypap.perf import PerfCampaign, speedup_series
 
 
-class FakeStepper:
+class FakeJob(Job):
     """Runs for a fixed number of iterations; exposes a metric."""
 
     def __init__(self, iterations: int, metric: float = 0.5) -> None:
         self.remaining = iterations
+        self.steps = 0
         self.metric = metric
 
-    def __call__(self) -> bool:
+    def step(self) -> bool:
         if self.remaining <= 0:
             return False
         self.remaining -= 1
+        self.steps += 1
         return True
+
+    def result(self):
+        return self.steps
+
+    def progress(self) -> JobProgress:
+        return JobProgress(steps_done=self.steps, done=self.remaining <= 0)
 
 
 class TestPerfCampaign:
     def test_full_grid_executed(self):
         campaign = PerfCampaign(
-            factory=lambda n, tile: FakeStepper(n * tile),
+            factory=lambda n, tile: FakeJob(n * tile),
             grid={"n": [1, 2], "tile": [3, 4]},
         )
         points = campaign.run()
@@ -31,7 +43,7 @@ class TestPerfCampaign:
         assert {p.iterations for p in points} == {3, 4, 6, 8}
 
     def test_params_recorded(self):
-        campaign = PerfCampaign(factory=lambda n: FakeStepper(n), grid={"n": [5]})
+        campaign = PerfCampaign(factory=lambda n: FakeJob(n), grid={"n": [5]})
         (p,) = campaign.run()
         assert p.param("n") == 5
         with pytest.raises(KeyError):
@@ -39,7 +51,7 @@ class TestPerfCampaign:
 
     def test_metrics_evaluated_on_stepper(self):
         campaign = PerfCampaign(
-            factory=lambda n: FakeStepper(n, metric=n * 10.0),
+            factory=lambda n: FakeJob(n, metric=n * 10.0),
             grid={"n": [1, 2]},
             metrics={"metric": lambda s: s.metric},
         )
@@ -48,7 +60,7 @@ class TestPerfCampaign:
 
     def test_series_extraction(self):
         campaign = PerfCampaign(
-            factory=lambda n, mode: FakeStepper(n if mode == "a" else 2 * n),
+            factory=lambda n, mode: FakeJob(n if mode == "a" else 2 * n),
             grid={"n": [1, 2, 3], "mode": ["a", "b"]},
         )
         campaign.run()
@@ -57,40 +69,56 @@ class TestPerfCampaign:
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigurationError):
-            PerfCampaign(factory=lambda: FakeStepper(1), grid={}).run()
+            PerfCampaign(factory=lambda: FakeJob(1), grid={}).run()
 
     def test_nonterminating_guarded(self):
-        class Forever:
-            def __call__(self):
+        class Forever(FakeJob):
+            def step(self):
                 return True
 
-        campaign = PerfCampaign(factory=lambda n: Forever(), grid={"n": [1]}, max_iterations=10)
+        campaign = PerfCampaign(factory=lambda n: Forever(1), grid={"n": [1]}, max_iterations=10)
         with pytest.raises(ConfigurationError):
             campaign.run()
 
     def test_table_render(self):
-        campaign = PerfCampaign(factory=lambda n: FakeStepper(n), grid={"n": [1]})
+        campaign = PerfCampaign(factory=lambda n: FakeJob(n), grid={"n": [1]})
         campaign.run()
         out = campaign.table("demo")
         assert "demo" in out and "iterations" in out
 
     def test_table_empty(self):
-        campaign = PerfCampaign(factory=lambda n: FakeStepper(n), grid={"n": [1]})
+        campaign = PerfCampaign(factory=lambda n: FakeJob(n), grid={"n": [1]})
         assert campaign.table() == "<no points>"
 
     def test_integration_with_real_stepper(self):
+        from repro.easypap.job import SandpileJob
         from repro.sandpile.model import center_pile
-        from repro.sandpile.omp import TiledSyncStepper
 
         campaign = PerfCampaign(
-            factory=lambda tile_size: TiledSyncStepper(center_pile(16, 16, 100), tile_size),
+            factory=lambda tile_size: SandpileJob(
+                center_pile(16, 16, 100), "sandpile", "tiled", tile_size=tile_size
+            ),
             grid={"tile_size": [4, 8]},
-            metrics={"computed": lambda s: s.tiles_computed},
+            metrics={"computed": lambda s: s.stepper.tiles_computed},
         )
         points = campaign.run()
         assert len(points) == 2
         assert all(p.iterations > 0 for p in points)
         assert points[0].extra("computed") > points[1].extra("computed")
+
+    @pytest.mark.skipif(not ProcessBackend.available(), reason="fork/shared_memory unavailable")
+    def test_process_jobs_closed_after_run(self):
+        from repro.easypap.job import SandpileJob
+        from repro.sandpile.model import center_pile
+
+        campaign = PerfCampaign(
+            factory=lambda nworkers: SandpileJob(
+                center_pile(16, 16, 200), "sandpile", "pfrontier", tile_size=8, nworkers=nworkers
+            ),
+            grid={"nworkers": [1, 2]},
+        )
+        assert len(campaign.run()) == 2
+        assert multiprocessing.active_children() == []
 
 
 class TestSpeedupSeries:

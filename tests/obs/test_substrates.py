@@ -102,6 +102,25 @@ class TestEasypapAdapter:
         }
 
 
+class TestTracedDriver:
+    def test_one_iteration_span_per_stepper_call(self):
+        from repro.sandpile.model import center_pile
+        from repro.sandpile.simulate import make_stepper, run_to_fixpoint
+
+        grid = center_pile(16, 16, 300)
+        stepper = make_stepper(grid.copy(), "sandpile", "vec")
+        calls = 1
+        while stepper():
+            calls += 1
+        tracer = Tracer()
+        run_to_fixpoint(grid, "sandpile", "vec", obs=tracer)
+        spans = tracer.spans()
+        assert [s.name for s in spans] == [f"iteration {i}" for i in range(calls)]
+        for i, s in enumerate(spans):
+            assert (s.cat, s.pid, s.tid) == ("iteration", "easypap", "driver")
+            assert s.args == {"iteration": i, "kernel": "sandpile", "variant": "vec"}
+
+
 # -- mapreduce --------------------------------------------------------------------
 
 

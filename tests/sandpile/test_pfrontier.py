@@ -14,8 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.common.errors import SimulationError
+from repro.easypap.app import EasyPapApp
 from repro.easypap.executor import ProcessBackend, SequentialBackend
 from repro.easypap.grid import Grid2D
+from repro.easypap.job import SandpileJob
 from repro.easypap.tiling import TileGrid
 from repro.sandpile.compiled import HAVE_NUMBA, sync_window, sync_window_numpy
 from repro.sandpile.kernels import sync_tile_nc
@@ -213,6 +216,34 @@ def test_registry_variant_runs_on_processes():
     assert np.array_equal(g.interior, oracle.interior)
     assert result.iterations > 0
     assert g.total_grains() + g.sink_absorbed == 600
+
+
+@needs_processes
+def test_fused_drivers_count_grid_iterations():
+    """run_to_fixpoint, SandpileJob and EasyPapApp report the same executed
+    grid iterations (k per call), and the budget counts that unit too."""
+    opts = dict(tile_size=8, nworkers=2, k=4)
+    result = run_to_fixpoint(center_pile(24, 24, 400), "sandpile", "pfrontier", **opts)
+    with SandpileJob(center_pile(24, 24, 400), "sandpile", "pfrontier", **opts) as job:
+        job_iterations = job.run()["iterations"]
+    with EasyPapApp("sandpile", "pfrontier", center_pile(24, 24, 400), **opts) as app:
+        app_iterations = app.run().iterations
+    assert result.iterations == job_iterations == app_iterations
+    # the last call of 4 fused iterations may run up to 3 past the fixpoint
+    unfused = run_to_fixpoint(center_pile(24, 24, 400), "sandpile", "frontier").iterations
+    assert unfused <= result.iterations < unfused + 4
+    calls = result.iterations // 4
+    assert calls > 1
+    # a budget of one more than the stepper calls is far short of the run
+    with pytest.raises(SimulationError):
+        run_to_fixpoint(center_pile(24, 24, 400), "sandpile", "pfrontier",
+                        max_iterations=calls + 1, **opts)
+    with SandpileJob(center_pile(24, 24, 400), "sandpile", "pfrontier",
+                     max_iterations=calls + 1, **opts) as job, pytest.raises(SimulationError):
+        job.run()
+    budgeted = run_to_fixpoint(center_pile(24, 24, 400), "sandpile", "pfrontier",
+                               max_iterations=result.iterations + 1, **opts)
+    assert budgeted.iterations == result.iterations
 
 
 # -- compiled path (numba optional, NumPy fallback always present) ------------
