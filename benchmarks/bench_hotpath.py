@@ -15,7 +15,8 @@ Run as a script::
 re-measures and compares *ratios normalised to the vec variant measured in
 the same process* against the committed baseline, so the gate tracks
 algorithmic regressions rather than machine speed; a variant whose ratio
-grows by more than ``--tolerance`` (default 30%) fails the run.
+grows by more than ``--tolerance`` (default 30%) fails the run, and so
+does an in-process tiled variant above ``TILED_CEIL`` times vec.
 
 Under pytest the module only runs the (fast, untimed) bit-identity check.
 """
@@ -51,6 +52,16 @@ PF_FULL_FLOOR = 2.0
 #: frontier yardstick — the persistent-worker + temporal-blocking runtime
 #: makes process dispatch nearly free, so this floor is core-count-free
 PF_SOLO_CEIL = 1.3
+
+#: the in-process tiled variants run merged-rectangle gathers, so each must
+#: stay within this factor of vec per iteration on the busy grid
+TILED_CEIL = 1.5
+TILED_VARIANTS = ("tiled", "lazy", "split")
+
+#: the fig1a floor measures the frontier against per-tile lazy execution:
+#: the omp stepper on the sequential backend, one task per active tile
+FIG1A_FLOOR = 3.0
+FIG1A_LAZY_REF = {"backend": "sequential", "lazy": True, "tile_size": 32}
 
 #: (kernel, variant, factory options) for every measured hot path
 VARIANTS: list[tuple[str, str, dict]] = [
@@ -281,6 +292,27 @@ def measure_tracer_overhead(rounds: int = 5) -> float:
     return min(null) / min(off)
 
 
+def fig1a_seconds(variant: str, **opts) -> float:
+    """Wall time of one run of *variant* to the fig1a fixpoint."""
+    from repro.sandpile.model import center_pile
+    from repro.sandpile.simulate import run_to_fixpoint
+
+    grid = center_pile(SIZE, SIZE, GRAINS_1A)
+    t0 = time.perf_counter()
+    run_to_fixpoint(grid, "sandpile", variant, **opts)
+    return time.perf_counter() - t0
+
+
+def tiled_ceiling_failures(ratios: dict) -> list[str]:
+    """The in-process tiled variants whose ratio to vec exceeds ``TILED_CEIL``."""
+    return [
+        f"per_iteration/{name}: ratio-to-vec {ratios[name]:.3f} above the "
+        f"{TILED_CEIL}x ceiling for in-process tiled variants"
+        for name in TILED_VARIANTS
+        if name in ratios and ratios[name] > TILED_CEIL
+    ]
+
+
 def _ratios(section: dict, key: str) -> dict:
     """Per-variant cost normalised to the in-process vec measurement."""
     base = section["vec"][key]
@@ -313,9 +345,9 @@ def collect() -> dict:
             **{name: _ratios(rows, "seconds") for name, rows in fixpoint.items()},
         },
     }
-    lazy = fixpoint["fig1a"]["lazy"]["seconds"]
+    lazy_ref = fig1a_seconds("omp", **FIG1A_LAZY_REF)
     frontier = fixpoint["fig1a"]["frontier"]["seconds"]
-    report["meta"]["fig1a_frontier_speedup_vs_lazy"] = lazy / frontier
+    report["meta"]["fig1a_frontier_speedup_vs_lazy"] = lazy_ref / frontier
     report["meta"]["pfrontier_frontier_vs_full"] = pfrontier["concentrated"]["frontier_vs_full"]
     return report
 
@@ -359,8 +391,15 @@ def compare_ratio_tables(
 def cmd_write() -> int:
     report = collect()
     speedup = report["meta"]["fig1a_frontier_speedup_vs_lazy"]
-    if speedup < 3.0:
-        print(f"FAIL: frontier only {speedup:.2f}x faster than lazy on fig1a (need >=3x)")
+    if speedup < FIG1A_FLOOR:
+        print(
+            f"FAIL: frontier only {speedup:.2f}x faster than per-tile lazy on fig1a "
+            f"(need >={FIG1A_FLOOR}x)"
+        )
+        return 1
+    over = tiled_ceiling_failures(report["ratios"]["per_iteration"])
+    if over:
+        print(f"FAIL: {over[0]}")
         return 1
     vs_full = report["meta"]["pfrontier_frontier_vs_full"]
     if vs_full < PF_FULL_FLOOR:
@@ -378,7 +417,7 @@ def cmd_write() -> int:
         return 1
     BASELINE.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"wrote {BASELINE}")
-    print(f"fig1a frontier speedup vs lazy: {speedup:.1f}x")
+    print(f"fig1a frontier speedup vs per-tile lazy: {speedup:.1f}x")
     print(f"pfrontier vs full-grid process stepping: {vs_full:.1f}x")
     print(f"busy pfrontier@1 vs frontier@1 (k={PF_K}): {solo:.2f}x per iteration")
     pf4 = report["pfrontier"]["busy"]["pfrontier@4"]["ratio_to_frontier"]
@@ -394,11 +433,12 @@ def cmd_write() -> int:
 
 def cmd_check(tolerance: float) -> int:
     """The CI gate: per-iteration ratios only (run-to-fixpoint one-shot wall
-    times are too noisy on shared runners to gate on), plus fresh-measured
-    floors — the frontier's >= 3x fig1a speedup, the parallel frontier's
-    >= PF_FULL_FLOOR x win over full-grid process stepping (and, with >= 4
-    real cores, pfrontier@4 beating the single-worker frontier) — all
-    measured in-process, machine-free."""
+    times are too noisy on shared runners to gate on), the ``TILED_CEIL``
+    ceiling on the in-process tiled variants, plus fresh-measured floors —
+    the frontier's >= FIG1A_FLOOR x fig1a speedup over per-tile lazy, the
+    parallel frontier's >= PF_FULL_FLOOR x win over full-grid process
+    stepping (and, with >= 4 real cores, pfrontier@4 beating the
+    single-worker frontier) — all measured in-process, machine-free."""
     if not BASELINE.exists():
         print(f"no baseline at {BASELINE}; run with --write first")
         return 1
@@ -407,6 +447,7 @@ def cmd_check(tolerance: float) -> int:
     cur = measure_per_iteration()
     cur_ratios = {name: row["ratio_to_vec"] for name, row in cur.items()}
     suspects_failed, _ = compare_ratio_tables(ref_ratios, cur_ratios, tolerance)
+    suspects_failed += tiled_ceiling_failures(cur_ratios)
     if suspects_failed:
         # machine drift between two short runs can fake a regression; a real
         # one reproduces, so re-measure only the suspects with more rounds
@@ -415,32 +456,33 @@ def cmd_check(tolerance: float) -> int:
         cur.update(measure_per_iteration(rounds=9, only=suspects))
         cur_ratios = {name: row["ratio_to_vec"] for name, row in cur.items()}
     failures, warnings = compare_ratio_tables(ref_ratios, cur_ratios, tolerance)
+    ceiling = tiled_ceiling_failures(cur_ratios)
+    failures += ceiling
     for w in warnings:
         print(f"warn {w}")
     failed_names = {f.split("/", 1)[1].split(":", 1)[0] for f in failures}
     for name in sorted(set(ref_ratios) & set(cur_ratios)):
         if name != "vec" and name not in failed_names:
             print(f"ok per_iteration/{name}: {cur_ratios[name]:.3f} (baseline {ref_ratios[name]:.3f})")
+    if not ceiling:
+        print(
+            "ok in-process tiled ceiling: "
+            + ", ".join(f"{n} {cur_ratios[n]:.2f}x" for n in TILED_VARIANTS if n in cur_ratios)
+            + f" (<= {TILED_CEIL}x vec)"
+        )
 
     import statistics
 
-    from repro.sandpile.model import center_pile
-    from repro.sandpile.simulate import run_to_fixpoint
-
-    def fig1a_seconds(variant: str) -> float:
-        grid = center_pile(SIZE, SIZE, GRAINS_1A)
-        t0 = time.perf_counter()
-        run_to_fixpoint(grid, "sandpile", variant, tile_size=32)
-        return time.perf_counter() - t0
-
     # paired runs, median ratio: same drift-robust estimator as above
     speedup = statistics.median(
-        fig1a_seconds("lazy") / fig1a_seconds("frontier") for _ in range(3)
+        fig1a_seconds("omp", **FIG1A_LAZY_REF) / fig1a_seconds("frontier") for _ in range(3)
     )
-    if speedup < 3.0:
-        failures.append(f"fig1a frontier speedup vs lazy fell to {speedup:.2f}x (< 3x)")
+    if speedup < FIG1A_FLOOR:
+        failures.append(
+            f"fig1a frontier speedup vs per-tile lazy fell to {speedup:.2f}x (< {FIG1A_FLOOR}x)"
+        )
     else:
-        print(f"ok fig1a frontier speedup vs lazy: {speedup:.1f}x")
+        print(f"ok fig1a frontier speedup vs per-tile lazy: {speedup:.1f}x")
 
     pf = measure_pfrontier()
     vs_full = pf["concentrated"]["frontier_vs_full"]

@@ -172,6 +172,41 @@ class TileGrid:
             for tx in range(tx0, tx1)
         ]
 
+    def merged_windows(self, mask) -> list[tuple[int, int, int, int]]:
+        """Disjoint interior rectangles covering exactly the tiles set in *mask*.
+
+        *mask* is a ``(tiles_y, tiles_x)`` boolean plane.  Each run of
+        adjacent set tiles in one tile row is one rectangle, and a run with
+        the same extent in the next tile row extends it downwards.  Windows
+        are ``(y0, y1, x0, x1)`` in interior coordinates (edge tiles
+        clipped), ordered by their first tile in row-major order.
+        """
+        rects: list[list[int]] = []
+        above: dict[tuple[int, int], list[int]] = {}
+        for ty, row in enumerate(mask.tolist()):
+            here: dict[tuple[int, int], list[int]] = {}
+            tx, n = 0, len(row)
+            while tx < n:
+                if not row[tx]:
+                    tx += 1
+                    continue
+                start = tx
+                while tx < n and row[tx]:
+                    tx += 1
+                rect = above.get((start, tx))
+                if rect is None:
+                    rect = [ty, ty + 1, start, tx]
+                    rects.append(rect)
+                else:
+                    rect[1] = ty + 1
+                here[(start, tx)] = rect
+            above = here
+        th, tw = self.tile_h, self.tile_w
+        return [
+            (ty0 * th, min(ty1 * th, self.height), tx0 * tw, min(tx1 * tw, self.width))
+            for ty0, ty1, tx0, tx1 in rects
+        ]
+
     def is_border_tile(self, tile: Tile) -> bool:
         """True when the tile touches the grid edge (and hence the sink).
 

@@ -20,6 +20,10 @@ Kernel glossary (paper names in parentheses):
   the sweep is sliced to a rectangle containing every unstable cell.
 * :func:`unstable_bbox` / :func:`grow_window` — dirty-bounding-box helpers
   the frontier steppers use to track where activity can possibly be.
+* :func:`sync_gather` / :func:`sink_loss` — ``sync_step``'s shared-shift
+  update of one interior rectangle, and its whole-interior sink count; the
+  in-process ``tiled``/``lazy``/``split`` steppers run a few such gathers
+  per iteration over merged rectangles of tiles.
 * :func:`sync_tile` / :func:`async_tile_relax` — tile-local forms used by
   the tiled, lazy, and parallel variants.  ``async_tile_relax`` keeps
   toppling inside one tile until the tile is internally stable, pushing
@@ -41,6 +45,8 @@ from repro.easypap.tiling import Tile
 
 __all__ = [
     "sync_step",
+    "sync_gather",
+    "sink_loss",
     "sync_tile",
     "sync_tile_nc",
     "sync_tile_k_array",
@@ -152,23 +158,47 @@ def sync_step(grid: Grid2D, out: np.ndarray | None = None, window: Window | None
         return changed
 
     div = d >> 2  # d // 4, sign-safe because counts are non-negative
-    interior_new = out[1:-1, 1:-1]
-    np.add(d[1:-1, 1:-1] & 3, div[1:-1, :-2], out=interior_new)
-    interior_new += div[1:-1, 2:]
-    interior_new += div[:-2, 1:-1]
-    interior_new += div[2:, 1:-1]
+    interior_new = sync_gather(d, div, out, (0, grid.height, 0, grid.width))
     changed = bool((interior_new != d[1:-1, 1:-1]).any())
     # Grains toppling off the edge are not written anywhere (the sink frame
     # is never computed); account for them so conservation stays checkable.
-    # Each edge cell loses one div-portion per sink-facing side; corner
-    # cells appear in two sums, which is exactly right (two sink sides).
-    lost = int(
-        div[1, 1:-1].sum() + div[-2, 1:-1].sum() + div[1:-1, 1].sum() + div[1:-1, -2].sum()
-    )
-    grid.sink_absorbed += lost
+    grid.sink_absorbed += sink_loss(div)
     d[1:-1, 1:-1] = interior_new
     grid.drain_sink()
     return changed
+
+
+def sync_gather(src: np.ndarray, div: np.ndarray, dst: np.ndarray, window: Window) -> np.ndarray:
+    """Synchronous update of the interior *window*, reading a shared shift plane.
+
+    *div* must hold ``src >> 2`` over the window grown by one cell, so the
+    four neighbour terms are slices of one precomputed plane rather than
+    four fresh shifts.  Writes the window of *dst* (a different plane from
+    *src*) and returns that view.  :func:`sync_step` runs it over the whole
+    interior; the in-process tiled steppers run it once per merged
+    rectangle of tiles.
+    """
+    y0, y1, x0, x1 = window
+    ys = slice(y0 + 1, y1 + 1)
+    xs = slice(x0 + 1, x1 + 1)
+    new = dst[ys, xs]
+    np.add(src[ys, xs] & 3, div[ys, x0:x1], out=new)
+    new += div[ys, x0 + 2 : x1 + 2]
+    new += div[y0:y1, xs]
+    new += div[y0 + 2 : y1 + 2, xs]
+    return new
+
+
+def sink_loss(div: np.ndarray) -> int:
+    """Grains one whole-interior synchronous step topples into the sink.
+
+    *div* is the step's ``src >> 2`` plane.  Each edge cell loses one
+    div-portion per sink-facing side; corner cells appear in two sums,
+    which is exactly right (two sink sides).
+    """
+    return int(
+        div[1, 1:-1].sum() + div[-2, 1:-1].sum() + div[1:-1, 1].sum() + div[1:-1, -2].sum()
+    )
 
 
 def sync_tile(src: np.ndarray, dst: np.ndarray, tile: Tile) -> bool:

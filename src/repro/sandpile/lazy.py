@@ -82,6 +82,17 @@ class LazyFlags:
         self._pending = int(idx.size)
         return idx
 
+    def active_mask(self) -> tuple[np.ndarray, int]:
+        """Boolean tile plane of the tiles needing recomputation, and their count.
+
+        The plane is the cached dilation: read it, do not modify it.  Like
+        :meth:`active_tiles`, the query is idempotent and the count is
+        committed to the skip statistics by :meth:`advance`.
+        """
+        need = self._need_mask()
+        self._pending = int(np.count_nonzero(need))
+        return need, self._pending
+
     def active_tiles(self) -> list[Tile]:
         """Tiles needing recomputation this iteration (row-major order).
 

@@ -37,6 +37,7 @@ from repro.sandpile.vectorized import (
     AsyncVecStepper,
     FrontierAsyncStepper,
     FrontierSyncStepper,
+    MergedTiledStepper,
     SplitSyncStepper,
     SyncVecStepper,
 )
@@ -94,12 +95,12 @@ def _sandpile_split(grid: Grid2D, *, tile_size: int = 32, **_opts):
 
 @register_variant("sandpile", "tiled", description="tiled synchronous, sequential tiles")
 def _sandpile_tiled(grid: Grid2D, *, tile_size: int = 32, trace: Trace | None = None, **_opts):
-    return TiledSyncStepper(grid, tile_size, backend=SequentialBackend(trace=trace))
+    return MergedTiledStepper(grid, tile_size, trace=trace)
 
 
 @register_variant("sandpile", "lazy", description="tiled synchronous + lazy tile skipping")
 def _sandpile_lazy(grid: Grid2D, *, tile_size: int = 32, trace: Trace | None = None, **_opts):
-    return TiledSyncStepper(grid, tile_size, backend=SequentialBackend(trace=trace), lazy=True)
+    return MergedTiledStepper(grid, tile_size, lazy=True, trace=trace)
 
 
 @register_variant("sandpile", "omp", description="tiled synchronous on virtual workers")

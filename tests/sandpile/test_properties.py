@@ -3,6 +3,8 @@
 These pin the library to Dhar's mathematics on *arbitrary* inputs:
 
 * every optimised variant reaches the scalar reference's fixpoint;
+* the merged-rectangle ``tiled``/``lazy`` stepper matches the per-tile
+  executor stepper step for step, bookkeeping and trace included;
 * grains are conserved modulo the sink;
 * stabilisation is idempotent and monotone-translation-equivariant;
 * the group operation is commutative.
@@ -13,11 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.easypap.executor import SequentialBackend
 from repro.easypap.grid import Grid2D
+from repro.easypap.monitor import Trace
 from repro.sandpile.model import center_pile
 from repro.sandpile.omp import TiledAsyncStepper, TiledSyncStepper
 from repro.sandpile.reference import stabilize_reference
 from repro.sandpile.theory import add, stabilize
+from repro.sandpile.vectorized import MergedTiledStepper
 
 # keep grids small: the scalar reference is O(cells) Python per sweep
 grids = arrays(
@@ -27,6 +32,23 @@ grids = arrays(
 )
 
 SETTINGS = dict(max_examples=25, deadline=None)
+
+# the merged-stepper property runs on 1x1 to 40x40 grids, busy or sparse
+_shapes = st.tuples(st.integers(1, 40), st.integers(1, 40))
+_busy = _shapes.flatmap(
+    lambda shape: arrays(dtype=np.int64, shape=shape, elements=st.integers(0, 7))
+)
+
+
+@st.composite
+def _sparse(draw):
+    """A few piles on an empty grid, so the lazy stepper skips tiles."""
+    h, w = draw(_shapes)
+    interior = np.zeros((h, w), dtype=np.int64)
+    for _ in range(draw(st.integers(1, 4))):
+        y, x = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
+        interior[y, x] += draw(st.integers(4, 300))
+    return interior
 
 
 @given(interior=grids)
@@ -119,3 +141,26 @@ def test_monotone_in_grains(interior, extra):
     stabilize(g1)
     stabilize(g2)
     assert g2.sink_absorbed >= g1.sink_absorbed
+
+
+@given(interior=st.one_of(_busy, _sparse()), tile_size=st.integers(1, 17), lazy=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_merged_tiled_stepper_matches_per_tile_stepper(interior, tile_size, lazy):
+    ref_grid, grid = Grid2D.from_interior(interior), Grid2D.from_interior(interior)
+    ref_trace, trace = Trace(), Trace()
+    ref = TiledSyncStepper(
+        ref_grid, tile_size, backend=SequentialBackend(trace=ref_trace), lazy=lazy
+    )
+    merged = MergedTiledStepper(grid, tile_size, lazy=lazy, trace=trace)
+    for _ in range(60):
+        changed = ref()
+        assert merged() == changed
+        assert np.array_equal(grid.data, ref_grid.data)
+        assert grid.sink_absorbed == ref_grid.sink_absorbed
+        assert (merged.tiles_computed, merged.tiles_skipped) == (
+            ref.tiles_computed,
+            ref.tiles_skipped,
+        )
+        assert trace.records == ref_trace.records
+        if not changed:
+            break

@@ -3,8 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.sandpile.model import center_pile, random_uniform
-from repro.sandpile.vectorized import AsyncVecStepper, SplitSyncStepper, SyncVecStepper
+from repro.easypap.executor import SequentialBackend
+from repro.sandpile.model import center_pile, random_uniform, sparse_random
+from repro.sandpile.omp import TiledSyncStepper
+from repro.sandpile.vectorized import (
+    AsyncVecStepper,
+    MergedTiledStepper,
+    SplitSyncStepper,
+    SyncVecStepper,
+)
 
 
 def drive(stepper):
@@ -70,12 +77,40 @@ class TestSplitSyncStepper:
             assert g.total_grains() + g.sink_absorbed == total0
 
     def test_matches_plain_vec_step_by_step(self):
-        a = random_uniform(16, 16, max_grains=20, seed=4)
+        # dividing, non-dividing and larger-than-grid tile sizes
+        for tile_size in (4, 3, 5, 7, 9, 16, 17):
+            a = random_uniform(16, 16, max_grains=20, seed=4)
+            b = a.copy()
+            sa, sb = SyncVecStepper(a), SplitSyncStepper(b, tile_size)
+            n_inner, n_outer = len(sb.tiles.inner_tiles()), len(sb.tiles.outer_tiles())
+            for step in range(1, 51):
+                ca, cb = sa(), sb()
+                assert ca == cb
+                assert np.array_equal(a.data, b.data)
+                assert a.sink_absorbed == b.sink_absorbed
+                assert sb.inner_tile_updates == step * n_inner
+                assert sb.outer_tile_updates == step * n_outer
+                if not ca:
+                    break
+
+
+class TestMergedTiledStepper:
+    def test_grid_edit_then_reset_matches_per_tile_stepper(self):
+        # skipped tiles are left unwritten, so an edit made between calls
+        # must reach the next iterations through lazy_flags.reset()
+        a = sparse_random(40, 40, n_piles=2, pile_grains=300, seed=3)
         b = a.copy()
-        sa, sb = SyncVecStepper(a), SplitSyncStepper(b, 4)
-        for _ in range(50):
-            ca, cb = sa(), sb()
-            assert ca == cb
-            assert np.array_equal(a.interior, b.interior)
-            if not ca:
+        ref = TiledSyncStepper(a, 8, backend=SequentialBackend(), lazy=True)
+        merged = MergedTiledStepper(b, 8, lazy=True)
+        for step in range(400):
+            if step == 30:
+                for grid, stepper in ((a, ref), (b, merged)):
+                    grid.interior[35, 35] += 50
+                    stepper.lazy_flags.reset()
+            changed = ref()
+            assert merged() == changed
+            assert np.array_equal(a.data, b.data)
+            assert a.sink_absorbed == b.sink_absorbed
+            if not changed and step > 30:
                 break
+        assert b.is_stable()

@@ -86,3 +86,15 @@ class TestCompareRatioTables:
     def test_failures_name_the_section(self):
         failures, _ = compare_ratio_tables({"a": 1.0}, {"a": 2.0}, 0.1, section="fixpoint")
         assert failures[0].startswith("fixpoint/a:")
+
+
+class TestTiledCeiling:
+    def test_only_tiled_variants_over_the_ceiling_fail(self):
+        ratios = {"vec": 1.0, "frontier": 1.9, "tiled": 1.1, "lazy": 1.6, "split": 1.5}
+        failures = bench.tiled_ceiling_failures(ratios)
+        assert len(failures) == 1
+        # the name parses back out the way the re-measure pass reads it
+        assert failures[0].split("/", 1)[1].split(":", 1)[0] == "lazy"
+
+    def test_missing_variant_is_not_a_failure(self):
+        assert bench.tiled_ceiling_failures({"vec": 1.0, "tiled": 1.2}) == []
