@@ -16,16 +16,22 @@ import pytest
 
 from conftest import emit, once
 from repro.common.tables import Table
-from repro.easypap.monitor import Trace
+from repro.easypap.executor import TILE_PID
+from repro.obs import Tracer, ascii_timeline, summarize
 from repro.sandpile import run_to_fixpoint, sparse_random
 
 SIZE = 2048
 NWORKERS = 8
 
 
+def _at(iteration: int):
+    """Span filter: the tile spans of one iteration."""
+    return lambda s: s.args["iteration"] == iteration
+
+
 def _run(tile_size: int):
     grid = sparse_random(SIZE, SIZE, n_piles=32, pile_grains=4096, seed=9)
-    trace = Trace()
+    trace = Tracer()
     result = run_to_fixpoint(
         grid,
         "asandpile",
@@ -54,20 +60,21 @@ def test_fig3_report(benchmark, runs):
     )
     summaries = {}
     for ts, (grid, result, trace) in runs.items():
-        s = trace.summarize(common_mid)
+        s = summarize(trace, pid=TILE_PID, where=_at(common_mid))
         summaries[ts] = s
         t.add_row(
             [f"{ts}x{ts}", result.iterations, result.tiles_computed,
-             f"{100 * result.skip_fraction:.1f}", s.task_count, s.makespan, s.imbalance]
+             f"{100 * result.skip_fraction:.1f}", s.span_count, s.makespan, s.imbalance]
         )
     once(benchmark, lambda: emit("F3 - lazy execution traces (32x32 vs 64x64 tiles)", t.render()))
 
     # Gantt views of the same iteration - the textual Fig. 3
     for ts in (32, 64):
-        emit(f"F3 trace, {ts}x{ts} tiles", runs[ts][2].gantt_ascii(common_mid))
+        view = ascii_timeline(runs[ts][2], pid=TILE_PID, where=_at(common_mid))
+        emit(f"F3 trace, {ts}x{ts} tiles, iteration {common_mid}", view)
 
     s32, s64 = summaries[32], summaries[64]
-    assert s64.task_count < s32.task_count           # coarser tasks
+    assert s64.span_count < s32.span_count           # coarser tasks
     assert s64.imbalance > s32.imbalance             # worse balance when sparse
     # both runs converge to the same stable configuration
     import numpy as np

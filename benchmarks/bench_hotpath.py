@@ -295,8 +295,8 @@ def measure_pfrontier(steps: int = PF_STEPS, rounds: int = 3) -> dict:
 def measure_tracer_overhead(rounds: int = 5) -> float:
     """Disabled-tracer overhead on the fig1a frontier hot path.
 
-    Runs the frontier variant to the fig1a fixpoint with ``obs=None``
-    (the untraced loop) and with ``obs=NullTracer()`` (the traced loop
+    Runs the frontier variant to the fig1a fixpoint with ``trace=None``
+    (the untraced loop) and with ``trace=NullTracer()`` (the traced loop
     taking its falsy fast branch), and returns the min-of-rounds wall-time
     ratio (NullTracer / None).  The observability contract is that a
     disabled tracer costs one branch per iteration, so the gate holds this
@@ -306,10 +306,10 @@ def measure_tracer_overhead(rounds: int = 5) -> float:
     from repro.sandpile.model import center_pile
     from repro.sandpile.simulate import run_to_fixpoint
 
-    def run_once(obs) -> float:
+    def run_once(trace) -> float:
         grid = center_pile(SIZE, SIZE, GRAINS_1A)
         t0 = time.perf_counter()
-        run_to_fixpoint(grid, "sandpile", "frontier", obs=obs)
+        run_to_fixpoint(grid, "sandpile", "frontier", trace=trace)
         return time.perf_counter() - t0
 
     off, null = [], []

@@ -24,16 +24,15 @@ Usage::
 import sys
 from pathlib import Path
 
-from repro.easypap.monitor import Trace
+from repro.easypap.executor import TILE_PID
 from repro.obs import Tracer, ascii_timeline, diff_summaries, save_chrome_trace, summarize
-from repro.obs.adapters.easypap import trace_to_tracer
 from repro.sandpile import center_pile, run_to_fixpoint
 
 
 def traced_run(policy: str) -> tuple[Tracer, int]:
     """Stabilise the same centre pile under one schedule; return its tracer."""
     grid = center_pile(48, 48, 4_000)
-    trace = Trace()
+    trace = Tracer()
     result = run_to_fixpoint(
         grid,
         "sandpile",
@@ -45,18 +44,23 @@ def traced_run(policy: str) -> tuple[Tracer, int]:
         lazy=True,          # uneven tile activity -> the schedules actually differ
         trace=trace,
     )
-    return trace_to_tracer(trace), result.iterations
+    return trace, result.iterations
+
+
+def at_iteration(iteration: int):
+    """Span filter: the tile spans of one iteration."""
+    return lambda s: s.pid == TILE_PID and s.args["iteration"] == iteration
 
 
 def iteration_view(tracer: Tracer, iteration: int) -> Tracer:
-    """One iteration's spans as their own tracer (timelines, export)."""
-    sub = Tracer(process="easypap")
-    sub.absorb([s for s in tracer.spans() if s.args["iteration"] == iteration])
+    """One iteration's tile spans as their own tracer (timelines, export)."""
+    sub = Tracer(process=TILE_PID)
+    sub.absorb(filter(at_iteration(iteration), tracer.spans()))
     return sub
 
 
 def summarize_iteration(tracer: Tracer, iteration: int):
-    return summarize(tracer, where=lambda s: s.args["iteration"] == iteration)
+    return summarize(tracer, where=at_iteration(iteration))
 
 
 def main(argv: list[str]) -> int:
@@ -67,7 +71,7 @@ def main(argv: list[str]) -> int:
     for policy in ("static", "dynamic"):
         tracers[policy], iterations = traced_run(policy)
         print(f"{policy:>8}: stable after {iterations} iterations, "
-              f"{len(tracers[policy].spans())} tile tasks traced")
+              f"{summarize(tracers[policy], pid=TILE_PID).span_count} tile tasks traced")
 
     # the iteration where the static schedule hurts the most: virtual
     # clocks make this a property of the workload, not of this machine

@@ -431,27 +431,30 @@ def check_main(argv: list[str] | None = None) -> int:
     return 1 if failed else 0
 
 
+#: fields of a task-record row, the easypap trace files of earlier versions
+_TASK_RECORD_FIELDS = (
+    "iteration", "task", "worker", "start", "end", "kind", "tile_ty", "tile_tx",
+)
+
+
 def _load_any_trace(path: str):
     """Load *path* as a Tracer, auto-detecting the file flavour.
 
-    ``repro.obs`` session files carry a ``type`` key on every row;
-    easypap task-record files (``Trace.save_jsonl``) do not and are
-    converted through the lossless adapter.
+    ``repro.obs`` session files carry a ``type`` key on every row.  The
+    easypap task-record files earlier versions wrote (one row per tile,
+    no ``type``) become the tile spans the backends record today.
     """
-    from repro.easypap.monitor import Trace
+    from repro.easypap.executor import TILE_PID, add_tile_span
     from repro.obs import Tracer
-    from repro.obs.adapters.easypap import trace_to_tracer
 
-    first = None
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                first = json.loads(line)
-                break
-    if first is not None and "type" in first:
+        rows = [json.loads(line) for line in fh if line.strip()]
+    if rows and "type" in rows[0]:
         return Tracer.load_jsonl(path)
-    return trace_to_tracer(Trace.load_jsonl(path))
+    tracer = Tracer(process=TILE_PID)
+    for row in rows:
+        add_tile_span(tracer, **{k: row[k] for k in _TASK_RECORD_FIELDS if k in row})
+    return tracer
 
 
 def trace_main(argv: list[str] | None = None) -> int:
@@ -462,8 +465,8 @@ def trace_main(argv: list[str] | None = None) -> int:
     * ``export``  — Chrome trace-event JSON (``--out``, Perfetto-loadable)
       or an ASCII timeline (``--ascii``);
     * ``summary`` — makespan / busy%% / per-lane task counts, optionally
-      for one easypap iteration (``--iteration``, agreeing with
-      ``Trace.summarize``);
+      for one easypap iteration (``--iteration``; pass ``--pid easypap``
+      to keep only the tile spans of a traced ``run_to_fixpoint``);
     * ``diff``    — two traces of the same workload side by side (the
       Fig. 3 comparison, generalised).
     """
@@ -484,7 +487,7 @@ def trace_main(argv: list[str] | None = None) -> int:
     p_summary.add_argument("--pid", help="restrict to one track group")
     p_summary.add_argument(
         "--iteration", type=int, metavar="N",
-        help="easypap traces: summarise only iteration N (matches Trace.summarize)",
+        help="easypap traces: summarise only iteration N (with --pid easypap: its tiles)",
     )
 
     p_diff = sub.add_parser("diff", help="compare two traces of the same workload")

@@ -11,10 +11,10 @@ reproduces its moving parts:
 * :mod:`~repro.easypap.schedule` — OpenMP-style loop scheduling policies
   simulated in virtual time;
 * :mod:`~repro.easypap.executor` — sequential / simulated-parallel /
-  real-thread backends;
-* :mod:`~repro.easypap.monitor` — execution traces (Fig. 3) and per-tile
-  owner maps (Fig. 4);
-* :mod:`~repro.easypap.display` — RGB rendering of grids and owner maps.
+  real-thread / process backends, each recording one
+  :mod:`repro.obs` span per executed tile (the Fig. 3 traces);
+* :mod:`~repro.easypap.display` — per-tile owner maps queried from those
+  spans (Fig. 4) and RGB rendering of grids and owner maps.
 """
 
 from repro.easypap.app import AppResult, EasyPapApp
@@ -28,7 +28,6 @@ from repro.easypap.executor import (
 )
 from repro.easypap.grid import Grid2D
 from repro.easypap.kernel import REGISTRY, KernelRegistry, VariantInfo, get_variant, register_variant
-from repro.easypap.monitor import IterationSummary, TaskRecord, Trace, TraceComparison, compare_traces
 from repro.easypap.perf import PerfCampaign, PerfPoint, speedup_series
 from repro.easypap.schedule import POLICIES, ScheduleResult, TaskSpan, simulate_schedule
 from repro.easypap.tiling import Tile, TileGrid
@@ -54,11 +53,6 @@ __all__ = [
     "ThreadBackend",
     "ProcessBackend",
     "make_backend",
-    "Trace",
-    "TaskRecord",
-    "IterationSummary",
-    "TraceComparison",
-    "compare_traces",
     "PerfCampaign",
     "PerfPoint",
     "speedup_series",

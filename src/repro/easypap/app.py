@@ -27,7 +27,7 @@ from repro.common.colors import sandpile_to_rgb, write_ppm
 from repro.common.errors import ConfigurationError
 from repro.easypap.grid import Grid2D
 from repro.easypap.job import SandpileJob
-from repro.easypap.monitor import Trace
+from repro.obs.tracer import Tracer
 
 __all__ = ["AppResult", "EasyPapApp"]
 
@@ -44,7 +44,7 @@ class AppResult:
     iteration_seconds: list[float] = field(default_factory=list)
     frames: list[np.ndarray] = field(default_factory=list)
     frame_iterations: list[int] = field(default_factory=list)
-    trace: Trace | None = None
+    trace: Tracer | None = None
 
     @property
     def mean_iteration_seconds(self) -> float:
@@ -80,7 +80,7 @@ class EasyPapApp:
         self.kernel = kernel
         self.variant = variant
         self.grid = grid
-        self.trace = Trace() if trace else None
+        self.trace = Tracer() if trace else None
         # run() enforces its own, non-raising budget
         self._job = SandpileJob(
             grid, kernel, variant, max_iterations=sys.maxsize, trace=self.trace, **options

@@ -4,6 +4,8 @@ EASYPAP's interactive SDL window is replaced by functions producing RGB
 numpy arrays (writable as PPM via :func:`repro.common.colors.write_ppm`):
 
 * :func:`render_grid` — the sandpile state with the Fig. 1 palette;
+* :func:`tile_owners` — the per-tile worker map of one traced iteration,
+  queried from the tile spans of a :class:`~repro.obs.tracer.Tracer`;
 * :func:`render_tile_owners` — the Fig. 4 view: tiles coloured by the
   worker that computed them, black for skipped (stable) tiles, with GPU
   workers in a distinct hue band;
@@ -15,8 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.common.colors import sandpile_to_rgb
+from repro.easypap.executor import TILE_PID
 
-__all__ = ["render_grid", "render_tile_owners", "upscale", "WORKER_PALETTE"]
+__all__ = ["render_grid", "tile_owners", "render_tile_owners", "upscale", "WORKER_PALETTE"]
 
 #: Distinct, readable worker colours (cycled when there are more workers).
 WORKER_PALETTE: tuple[tuple[int, int, int], ...] = (
@@ -40,13 +43,30 @@ def render_grid(grid) -> np.ndarray:
     return sandpile_to_rgb(interior)
 
 
+def tile_owners(tracer, tiles_y: int, tiles_x: int, iteration: int) -> np.ndarray:
+    """Per-tile worker index for one iteration (-1 = tile not computed).
+
+    This is exactly the data behind Fig. 4: tiles that were skipped
+    (stable, under lazy evaluation) stay at -1 and render black; others
+    hold the worker lane of the tile span that computed them.
+    """
+    owners = np.full((tiles_y, tiles_x), -1, dtype=np.int32)
+    for s in tracer.spans():
+        if s.pid != TILE_PID or s.args.get("iteration") != iteration:
+            continue
+        ty, tx = s.args["tile_ty"], s.args["tile_tx"]
+        if 0 <= ty < tiles_y and 0 <= tx < tiles_x:
+            owners[ty, tx] = s.tid
+    return owners
+
+
 def render_tile_owners(
     owners: np.ndarray,
     *,
     tile_pixels: int = 8,
     gpu_workers: frozenset[int] | set[int] = frozenset(),
 ) -> np.ndarray:
-    """Render a tile-owner map (from :meth:`Trace.tile_owner_map`) to RGB.
+    """Render a tile-owner map (from :func:`tile_owners`) to RGB.
 
     ``owners[ty, tx] == -1`` means the tile was not computed (stable under
     lazy evaluation) and is drawn black, exactly as in Fig. 4.  Workers in

@@ -31,7 +31,8 @@ assignment's needs:
   degrades gracefully to a :class:`ThreadBackend`.
 
 All backends return the executed :class:`~repro.easypap.schedule.TaskSpan`
-list and optionally feed a :class:`~repro.easypap.monitor.Trace`.
+list and, given a :class:`~repro.obs.tracer.Tracer`, record one span per
+executed tile (:func:`add_tile_span`).
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ import numpy as np
 
 from repro.common.errors import ConfigurationError, KernelError, SchedulingError
 from repro.common.resilience import Deadline, DegradationLog, FaultInjector, RetryPolicy
-from repro.easypap.monitor import TaskRecord, Trace
 from repro.easypap.schedule import (
     POLICIES,
     ScheduleResult,
@@ -66,6 +66,7 @@ from repro.easypap.schedule import (
     simulate_schedule,
 )
 from repro.easypap.tiling import Tile, band_tiles
+from repro.obs.tracer import Tracer
 
 __all__ = [
     "TaskBatch",
@@ -81,6 +82,8 @@ __all__ = [
     "ThreadBackend",
     "ProcessBackend",
     "make_backend",
+    "TILE_PID",
+    "add_tile_span",
 ]
 
 
@@ -274,7 +277,7 @@ class TaskBatch:
         ``indices[i]`` here.  The process backend registers the base's spec
         list once and ships a selection as index spans into it, so frontier
         and lazy partials pickle no :class:`TileTask`.  Spans, returns and
-        trace rows of the selection use its own task positions.
+        tile spans of the selection use its own task positions.
         """
         idx = list(indices)
         if any(b <= a for a, b in zip(idx, idx[1:])):
@@ -309,37 +312,72 @@ def _plan_for(batch: TaskBatch, nworkers: int, policy: str, chunk: int):
     return build(len(batch), nworkers, policy, chunk)
 
 
-def _record_spans(
-    spans: Sequence[TaskSpan],
-    batch: TaskBatch,
-    trace: Trace | None,
+#: track group (``pid``) of the tile spans every easypap producer records
+TILE_PID = "easypap"
+
+
+def add_tile_span(
+    tracer: Tracer,
+    *,
     iteration: int,
-    kind: str,
+    task: int,
+    worker: int,
+    start: float,
+    end: float,
+    kind: str = "compute",
+    tile_ty: int = -1,
+    tile_tx: int = -1,
 ) -> None:
-    if trace is None:
-        return
-    for s in spans:
-        ty, tx = batch.tile_coords(s.task)
-        trace.add(
-            TaskRecord(
-                iteration=iteration,
-                task=s.task,
-                worker=s.worker,
-                start=s.start,
-                end=s.end,
-                kind=kind,
-                tile_ty=ty,
-                tile_tx=tx,
+    """Record one executed tile as a span on lane ``(TILE_PID, worker)``.
+
+    The span is named ``i{iteration}:t{task}`` with *kind* (``compute``,
+    ``gpu``, ``comm``) as its category; the iteration, the task position
+    and the tile coordinates ride in its args, which is what the Fig. 3
+    and Fig. 4 queries select on.
+    """
+    tracer.add_span(
+        f"i{iteration}:t{task}",
+        start=start,
+        end=end,
+        cat=kind,
+        pid=TILE_PID,
+        tid=worker,
+        args={"iteration": iteration, "task": task, "tile_ty": tile_ty, "tile_tx": tile_tx},
+    )
+
+
+class _TileTimeline:
+    """Records a backend's tile spans on one timeline for the whole run.
+
+    Each batch's spans start from the batch's own zero.  They are recorded
+    from where the previous batch ended, the implicit barrier after an
+    OpenMP ``for``, so a run's worker lanes never overlap.
+    """
+
+    trace: Tracer | None = None
+    _timeline_end = 0.0
+
+    def _record(
+        self, spans: Sequence[TaskSpan], batch: TaskBatch, iteration: int, kind: str
+    ) -> None:
+        if not self.trace:
+            return
+        t0 = self._timeline_end
+        for s in spans:
+            ty, tx = batch.tile_coords(s.task)
+            add_tile_span(
+                self.trace, iteration=iteration, task=s.task, worker=s.worker,
+                start=t0 + s.start, end=t0 + s.end, kind=kind, tile_ty=ty, tile_tx=tx,
             )
-        )
+        self._timeline_end = t0 + max((s.end for s in spans), default=0.0)
 
 
-class SequentialBackend:
+class SequentialBackend(_TileTimeline):
     """Execute tasks in index order on a single (virtual) worker."""
 
     nworkers = 1
 
-    def __init__(self, *, trace: Trace | None = None) -> None:
+    def __init__(self, *, trace: Tracer | None = None) -> None:
         self.trace = trace
 
     def run(self, batch: TaskBatch, *, iteration: int = 0, kind: str = "compute") -> ScheduleResult:
@@ -359,11 +397,11 @@ class SequentialBackend:
             spans.append(TaskSpan(i, 0, t, t + cost))
             t += cost
         result = ScheduleResult(policy="sequential", nworkers=1, chunk=1, spans=spans)
-        _record_spans(spans, batch, self.trace, iteration, kind)
+        self._record(spans, batch, iteration, kind)
         return result
 
 
-class SimulatedBackend:
+class SimulatedBackend(_TileTimeline):
     """Execute tasks for real, place them on virtual workers for timing.
 
     The placement uses :func:`~repro.easypap.schedule.simulate_schedule`;
@@ -380,7 +418,7 @@ class SimulatedBackend:
         policy: str = "dynamic",
         *,
         chunk: int = 1,
-        trace: Trace | None = None,
+        trace: Tracer | None = None,
         measure: bool = False,
     ) -> None:
         if nworkers < 1:
@@ -416,11 +454,11 @@ class SimulatedBackend:
                 for r in returned
             ]
         result = simulate_schedule(costs, self.nworkers, self.policy, chunk=self.chunk, plan=plan)
-        _record_spans(result.spans, batch, self.trace, iteration, kind)
+        self._record(result.spans, batch, iteration, kind)
         return result
 
 
-class ThreadBackend:
+class ThreadBackend(_TileTimeline):
     """Run tasks on a real thread pool; spans are wall-clock measurements.
 
     Only valid for batches whose tasks are mutually independent (the
@@ -428,7 +466,7 @@ class ThreadBackend:
     asynchronous variant).
     """
 
-    def __init__(self, nworkers: int, *, trace: Trace | None = None) -> None:
+    def __init__(self, nworkers: int, *, trace: Tracer | None = None) -> None:
         if nworkers < 1:
             raise ConfigurationError("nworkers must be >= 1")
         self.nworkers = nworkers
@@ -467,7 +505,7 @@ class ThreadBackend:
                 f"tasks {unfinished[:20]}"
             )
         result = ScheduleResult(policy="threads", nworkers=self.nworkers, chunk=1, spans=done)
-        _record_spans(done, batch, self.trace, iteration, kind)
+        self._record(done, batch, iteration, kind)
         return result
 
 
@@ -642,7 +680,7 @@ class _Worker:
         self.alive = True
 
 
-class ProcessBackend:
+class ProcessBackend(_TileTimeline):
     """Run tile batches on persistent worker processes over shared planes.
 
     Usage contract (what the tiled steppers implement):
@@ -729,7 +767,7 @@ class ProcessBackend:
         policy: str = "static",
         *,
         chunk: int = 1,
-        trace: Trace | None = None,
+        trace: Tracer | None = None,
         retry: RetryPolicy | None = None,
         task_timeout: float | None = None,
         allow_fallback: bool = True,
@@ -1014,8 +1052,10 @@ class ProcessBackend:
                 reason = "batch carries no picklable TileTask spec"
             self._log_degradation("thread-execution", reason)
         if self._threads is None:
-            self._threads = ThreadBackend(self.nworkers, trace=self.trace)
-        return self._threads.run(batch, iteration=iteration, kind=kind)
+            self._threads = ThreadBackend(self.nworkers)
+        result = self._threads.run(batch, iteration=iteration, kind=kind)
+        self._record(result.spans, batch, iteration, kind)
+        return result
 
     def _describe_missing(self, batch: TaskBatch, missing: set[int], chunks) -> str:
         """Name the unfinished tasks, their tiles, and where they were scheduled."""
@@ -1300,7 +1340,7 @@ class ProcessBackend:
             spans=done,
             returns=returns,
         )
-        _record_spans(done, batch, self.trace, iteration, kind)
+        self._record(done, batch, iteration, kind)
         return result
 
 
@@ -1310,7 +1350,7 @@ def make_backend(
     *,
     policy: str = "dynamic",
     chunk: int = 1,
-    trace: Trace | None = None,
+    trace: Tracer | None = None,
     retry: RetryPolicy | None = None,
     task_timeout: float | None = None,
     allow_fallback: bool = True,

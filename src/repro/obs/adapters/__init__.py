@@ -1,7 +1,8 @@
 """Substrate adapters: each converts (or instruments) one execution layer.
 
-* :mod:`repro.obs.adapters.easypap`   — per-tile spans from
-  :class:`~repro.easypap.monitor.TaskRecord`, losslessly both ways.
+* :mod:`repro.obs.adapters.easypap`   — frontier counter tracks and
+  degradation instants next to the tile spans the easypap backends and
+  steppers record themselves.
 * :mod:`repro.obs.adapters.mapreduce` — simulated-cluster attempt spans
   with shuffle flow arrows; degradation events as instants.
 * :mod:`repro.obs.adapters.simmpi`    — conversion helpers for the live
@@ -14,18 +15,15 @@
   metrics: histogram quantile estimation (p50/p99) and the summary table
   ``repro-serve`` prints.
 
-The real thread/process backends and ``run_job_parallel`` take a tracer
-directly; the adapters here cover the substrates that already produce
-structured reports.
+The easypap backends and steppers, the simmpi communicator and
+``run_job_parallel`` take a tracer directly; the adapters here cover the
+substrates that already produce structured reports.
 """
 
 from repro.obs.adapters.easypap import (
     EASYPAP_PID,
     degradation_to_instants,
-    dispatch_to_counters,
     frontier_to_counters,
-    trace_to_tracer,
-    tracer_to_trace,
 )
 from repro.obs.adapters.mapreduce import MAPREDUCE_PID, cluster_report_to_tracer
 from repro.obs.adapters.serve import SERVE_PID, estimate_quantile, render_slo, slo_summary
@@ -38,10 +36,7 @@ __all__ = [
     "SERVE_PID",
     "SIMMPI_PID",
     "WRENCH_PID",
-    "trace_to_tracer",
-    "tracer_to_trace",
     "degradation_to_instants",
-    "dispatch_to_counters",
     "frontier_to_counters",
     "cluster_report_to_tracer",
     "world_report_summary",

@@ -1,95 +1,31 @@
-"""easypap adapter: per-tile spans from TaskRecord, losslessly both ways.
+"""easypap adapter: the substrate's side records on its tile timeline.
 
-Every easypap backend already feeds a :class:`~repro.easypap.monitor.Trace`
-of :class:`~repro.easypap.monitor.TaskRecord` rows (iteration, task,
-worker, start, end, kind, tile coordinates).  :func:`trace_to_tracer`
-maps each row onto a span — worker index becomes the lane, ``kind``
-becomes the category, and iteration/task/tile coordinates ride in the
-span args — and :func:`tracer_to_trace` inverts the mapping exactly, so
-nothing EASYPAP's trace explorer shows is lost in the unified view.
+Every easypap backend and tiled stepper records its tile spans straight
+into a :class:`~repro.obs.tracer.Tracer`
+(:func:`~repro.easypap.executor.add_tile_span`, track group
+:data:`EASYPAP_PID`).  This module projects the substrate's other
+records onto the same track group:
 
-:func:`degradation_to_instants` projects a
-:class:`~repro.common.resilience.DegradationLog` (pool rebuilds, thread
-fallbacks, retries) onto instant events, so recovery actions appear on
-the same timeline as the tile spans they interrupted.
+* :func:`frontier_to_counters` — a frontier stepper's ``window_log`` as
+  counter tracks, so the shrinking frontier renders next to the lanes;
+* :func:`degradation_to_instants` — a
+  :class:`~repro.common.resilience.DegradationLog` (pool rebuilds, thread
+  fallbacks, retries) as instant events, so recovery actions appear on
+  the same timeline as the tile spans they interrupted.
 """
 
 from __future__ import annotations
 
 from repro.common.resilience import DegradationLog
-from repro.easypap.monitor import TaskRecord, Trace
+from repro.easypap.executor import TILE_PID as EASYPAP_PID
 from repro.obs.clock import WallClock
 from repro.obs.tracer import Tracer
 
 __all__ = [
     "EASYPAP_PID",
-    "record_to_span",
-    "trace_to_tracer",
-    "tracer_to_trace",
     "degradation_to_instants",
     "frontier_to_counters",
-    "dispatch_to_counters",
 ]
-
-EASYPAP_PID = "easypap"
-
-
-def record_to_span(tracer: Tracer, rec: TaskRecord, *, pid: str = EASYPAP_PID):
-    """Append one TaskRecord as a span; returns the SpanRecord."""
-    return tracer.add_span(
-        f"i{rec.iteration}:t{rec.task}",
-        start=rec.start,
-        end=rec.end,
-        cat=rec.kind,
-        pid=pid,
-        tid=rec.worker,
-        args={
-            "iteration": rec.iteration,
-            "task": rec.task,
-            "tile_ty": rec.tile_ty,
-            "tile_tx": rec.tile_tx,
-        },
-    )
-
-
-def trace_to_tracer(
-    trace: Trace,
-    tracer: Tracer | None = None,
-    *,
-    pid: str = EASYPAP_PID,
-) -> Tracer:
-    """Convert a whole easypap Trace into (or onto) a tracer."""
-    if tracer is None:
-        tracer = Tracer(process=pid)
-    for rec in trace.records:
-        record_to_span(tracer, rec, pid=pid)
-    return tracer
-
-
-def tracer_to_trace(tracer: Tracer, *, pid: str = EASYPAP_PID) -> Trace:
-    """Rebuild the easypap Trace from spans produced by this adapter.
-
-    The inverse of :func:`trace_to_tracer` — the tests assert the
-    round-trip reproduces every TaskRecord field bit-for-bit.
-    """
-    trace = Trace()
-    for s in tracer.spans():
-        if s.pid != pid:
-            continue
-        a = s.args
-        trace.add(
-            TaskRecord(
-                iteration=int(a.get("iteration", 0)),
-                task=int(a.get("task", 0)),
-                worker=int(s.tid),
-                start=s.start,
-                end=s.end,
-                kind=s.cat,
-                tile_ty=int(a.get("tile_ty", -1)),
-                tile_tx=int(a.get("tile_tx", -1)),
-            )
-        )
-    return trace
 
 
 def frontier_to_counters(
@@ -122,52 +58,6 @@ def frontier_to_counters(
             pid=pid,
         )
         n += 1
-    return n
-
-
-def dispatch_to_counters(
-    tracer: Tracer,
-    registry,
-    *,
-    pid: str = EASYPAP_PID,
-    prefix: str = "easypap_dispatch",
-    ts: float = 0.0,
-) -> int:
-    """Project the process backend's dispatch metrics onto counter tracks.
-
-    *registry* is the :class:`~repro.obs.metrics.MetricsRegistry` handed to
-    :func:`~repro.easypap.executor.make_backend`; every family whose name
-    starts with *prefix* (``easypap_dispatch_commands_total``,
-    ``..._bytes_total``, ``..._batches_total``,
-    ``..._queue_wait_seconds``) becomes one counter track.  Counter series
-    are keyed by their labels (``mode=resident`` ...); histograms project
-    their per-series ``sum`` and ``count``.  The samples land at *ts* (end
-    of run — the registry holds totals, not a time series), which is
-    enough for ``repro-trace summary`` to report how many commands and
-    serialized bytes a run shipped per iteration.  Returns the number of
-    counter records written.
-    """
-
-    def series_key(labels: dict) -> str:
-        return ",".join(f"{k}={v}" for k, v in sorted(labels.items())) or "total"
-
-    n = 0
-    for name in registry.names():
-        if not name.startswith(prefix):
-            continue
-        metric = registry.get(name)
-        values: dict[str, float] = {}
-        if metric.kind == "histogram":
-            for row in metric.samples():
-                key = series_key(row["labels"])
-                values[f"{key}:sum"] = row["sum"]
-                values[f"{key}:count"] = row["count"]
-        else:
-            for row in metric.samples():
-                values[series_key(row["labels"])] = row["value"]
-        if values:
-            tracer.counter(name, values, ts=ts, pid=pid)
-            n += 1
     return n
 
 

@@ -12,9 +12,8 @@ Timestamps are converted from seconds to integer-friendly microseconds.
 Virtual clocks export unchanged — Perfetto does not care whether a
 microsecond was real.
 
-:func:`ascii_timeline` is the terminal fallback, generalising
-:meth:`repro.easypap.monitor.Trace.gantt_ascii` to any number of track
-groups, with a legend and a per-lane busy%% column.
+:func:`ascii_timeline` is the terminal fallback: EASYPAP's Gantt view for
+any number of track groups, with a legend and a per-lane busy%% column.
 """
 
 from __future__ import annotations
@@ -183,17 +182,24 @@ def ascii_timeline(
     *,
     width: int = 72,
     pid: str | None = None,
+    where=None,
 ) -> str:
     """Render spans as one ASCII lane per ``(pid, tid)``.
 
     Includes a legend (mark -> category) and a busy%% column per lane —
     the self-describing version of the EASYPAP Gantt view.  *pid*
-    restricts the view to one track group.
+    restricts the view to one track group and *where* (a predicate over
+    :class:`SpanRecord`, as in :func:`~repro.obs.summary.summarize`) to
+    the spans it accepts, e.g. one iteration of an easypap run.
     """
-    spans = [s for s in tracer.spans() if pid is None or s.pid == pid]
+    spans = [
+        s
+        for s in tracer.spans()
+        if (pid is None or s.pid == pid) and (where is None or where(s))
+    ]
     if not spans:
-        where = f" for pid {pid!r}" if pid else ""
-        return f"<no spans{where}>"
+        scope = f" for pid {pid!r}" if pid else ""
+        return f"<no spans{scope}>"
     t0 = min(s.start for s in spans)
     t1 = max(s.end for s in spans)
     span = max(t1 - t0, 1e-12)

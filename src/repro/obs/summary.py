@@ -1,11 +1,10 @@
 """Trace summaries and side-by-side diffs.
 
 The numeric counterpart of the timeline views: makespan, per-lane busy
-time and busy fraction, span counts per lane and per category.  The
-fields deliberately mirror :class:`repro.easypap.monitor.IterationSummary`
-(makespan, ``worker_busy``, task counts) so the CLI's ``trace summary``
-agrees with the substrate-local summariser on the same run — the tests
-assert it.
+time and busy fraction, span counts per lane and per category.  Filtered
+to one iteration of an easypap run (``pid="easypap"`` and a ``where`` on
+the span's ``iteration`` arg) it gives the Fig. 3 numbers: tasks, makespan,
+per-worker busy time (``worker_busy``) and imbalance.
 
 :func:`diff_summaries` is the paper's Fig. 3 operation generalised: the
 same workload traced under two configurations (two scheduling policies,
@@ -49,7 +48,7 @@ class TraceSummary:
     #: degradation instants counted by ``(substrate pid, component:action)``
     degradations: dict[tuple, int] = field(default_factory=dict)
     #: counter tracks: name -> {series: last-sampled value} (e.g. the
-    #: process backend's dispatch metrics projected by the easypap adapter)
+    #: frontier window tracks projected by the easypap adapter)
     counters: dict[str, dict] = field(default_factory=dict)
 
     @property
@@ -64,7 +63,7 @@ class TraceSummary:
 
     @property
     def worker_busy(self) -> dict:
-        """Busy seconds keyed by ``tid`` — IterationSummary's shape.
+        """Busy seconds keyed by ``tid`` (the worker, for easypap spans).
 
         Only meaningful when tids are unique across pids (single-substrate
         traces); colliding tids sum.
@@ -140,9 +139,9 @@ def summarize(
     for rec in tracer.instants():
         if rec.cat == "degradation" and (pid is None or rec.pid == pid):
             degradations[(rec.pid, rec.name)] += 1
-    # counter tracks keep their *last* sample per series: totals (like the
-    # dispatch metrics) read as the run's final count, decaying tracks
-    # (like the frontier window) as where they ended up
+    # counter tracks keep their *last* sample per series: totals read as
+    # the run's final count, decaying tracks (like the frontier window) as
+    # where they ended up
     counters: dict[str, dict] = {}
     for rec in tracer.counters():
         if pid is None or rec.pid == pid:

@@ -22,9 +22,10 @@ import numpy as np
 
 from repro.common.errors import ConfigurationError
 from repro.easypap.grid import Grid2D
-from repro.easypap.monitor import TaskRecord, Trace
+from repro.easypap.executor import add_tile_span
 from repro.easypap.schedule import simulate_schedule
 from repro.easypap.tiling import Tile, TileGrid
+from repro.obs.tracer import Tracer
 from repro.sandpile.gpu import DeviceModel
 from repro.sandpile.kernels import sync_tile
 from repro.sandpile.lazy import LazyFlags
@@ -59,7 +60,7 @@ class HybridStepper:
         cpu: CpuModel | None = None,
         device: DeviceModel | None = None,
         lazy: bool = False,
-        trace: Trace | None = None,
+        trace: Tracer | None = None,
         rebalance: bool = True,
     ) -> None:
         if nworkers < 1:
@@ -103,7 +104,9 @@ class HybridStepper:
         owners[...] = -1
         changed = False
 
-        # CPU side: schedule tiles over virtual workers.
+        # CPU side: schedule tiles over virtual workers.  Trace spans start
+        # at this iteration's virtual time, so iterations lie end to end.
+        t0 = self.virtual_time
         cpu_changed: dict[int, bool] = {}
         for t in cpu_tiles:
             cpu_changed[t.index] = sync_tile(src, dst, t)
@@ -115,18 +118,11 @@ class HybridStepper:
             for span in sched.spans:
                 t = cpu_tiles[span.task]
                 owners[t.ty, t.tx] = span.worker
-                if self.trace is not None:
-                    self.trace.add(
-                        TaskRecord(
-                            iteration=self.iterations,
-                            task=t.index,
-                            worker=span.worker,
-                            start=span.start,
-                            end=span.end,
-                            kind="compute",
-                            tile_ty=t.ty,
-                            tile_tx=t.tx,
-                        )
+                if self.trace:
+                    add_tile_span(
+                        self.trace, iteration=self.iterations, task=t.index,
+                        worker=span.worker, start=t0 + span.start, end=t0 + span.end,
+                        tile_ty=t.ty, tile_tx=t.tx,
                     )
 
         # GPU side: one batched launch over all device tiles.
@@ -139,19 +135,12 @@ class HybridStepper:
                 owners[t.ty, t.tx] = self.gpu_worker_id
                 gpu_cells += t.area
             gpu_time = self.device.launch_cost(gpu_cells)
-            if self.trace is not None:
+            if self.trace:
                 for t in gpu_tiles:
-                    self.trace.add(
-                        TaskRecord(
-                            iteration=self.iterations,
-                            task=t.index,
-                            worker=self.gpu_worker_id,
-                            start=0.0,
-                            end=gpu_time,
-                            kind="gpu",
-                            tile_ty=t.ty,
-                            tile_tx=t.tx,
-                        )
+                    add_tile_span(
+                        self.trace, iteration=self.iterations, task=t.index,
+                        worker=self.gpu_worker_id, start=t0, end=t0 + gpu_time,
+                        kind="gpu", tile_ty=t.ty, tile_tx=t.tx,
                     )
 
         changed = changed or any(cpu_changed.values())

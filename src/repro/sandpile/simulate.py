@@ -29,7 +29,7 @@ from repro.easypap.executor import SequentialBackend, make_backend
 from repro.easypap.grid import Grid2D
 from repro.easypap.job import SandpileJob, make_stepper
 from repro.easypap.kernel import register_variant
-from repro.easypap.monitor import Trace
+from repro.obs.tracer import Tracer
 from repro.sandpile.omp import TiledAsyncStepper, TiledSyncStepper
 from repro.sandpile.pfrontier import ParallelFrontierStepper
 from repro.sandpile.reference import async_step_reference, sync_step_reference
@@ -44,6 +44,9 @@ from repro.sandpile.vectorized import (
 
 __all__ = ["RunResult", "run_to_fixpoint", "make_stepper"]
 
+#: track group of :func:`run_to_fixpoint`'s per-call wall-clock spans
+DRIVER_PID = "easypap-driver"
+
 
 @dataclass
 class RunResult:
@@ -55,7 +58,7 @@ class RunResult:
     final_grid: Grid2D
     tiles_computed: int = 0
     tiles_skipped: int = 0
-    trace: Trace | None = None
+    trace: Tracer | None = None
     extras: dict = field(default_factory=dict)
 
     @property
@@ -94,12 +97,12 @@ def _sandpile_split(grid: Grid2D, *, tile_size: int = 32, **_opts):
 
 
 @register_variant("sandpile", "tiled", description="tiled synchronous, sequential tiles")
-def _sandpile_tiled(grid: Grid2D, *, tile_size: int = 32, trace: Trace | None = None, **_opts):
+def _sandpile_tiled(grid: Grid2D, *, tile_size: int = 32, trace: Tracer | None = None, **_opts):
     return MergedTiledStepper(grid, tile_size, trace=trace)
 
 
 @register_variant("sandpile", "lazy", description="tiled synchronous + lazy tile skipping")
-def _sandpile_lazy(grid: Grid2D, *, tile_size: int = 32, trace: Trace | None = None, **_opts):
+def _sandpile_lazy(grid: Grid2D, *, tile_size: int = 32, trace: Tracer | None = None, **_opts):
     return MergedTiledStepper(grid, tile_size, lazy=True, trace=trace)
 
 
@@ -113,7 +116,7 @@ def _sandpile_omp(
     chunk: int = 1,
     backend: str = "simulated",
     lazy: bool = False,
-    trace: Trace | None = None,
+    trace: Tracer | None = None,
     retry: RetryPolicy | None = None,
     task_timeout: float | None = None,
     allow_fallback: bool = True,
@@ -146,7 +149,7 @@ def _sandpile_pfrontier(
     use_compiled: bool = False,
     k: int = 1,
     nbands: int | None = None,
-    trace: Trace | None = None,
+    trace: Tracer | None = None,
     retry: RetryPolicy | None = None,
     task_timeout: float | None = None,
     allow_fallback: bool = True,
@@ -203,12 +206,12 @@ def _asandpile_frontier(grid: Grid2D, **_opts):
 
 
 @register_variant("asandpile", "tiled", description="tile-local relaxation, sequential tiles")
-def _asandpile_tiled(grid: Grid2D, *, tile_size: int = 32, trace: Trace | None = None, **_opts):
+def _asandpile_tiled(grid: Grid2D, *, tile_size: int = 32, trace: Tracer | None = None, **_opts):
     return TiledAsyncStepper(grid, tile_size, backend=SequentialBackend(trace=trace))
 
 
 @register_variant("asandpile", "lazy", description="tile-local relaxation + lazy skipping")
-def _asandpile_lazy(grid: Grid2D, *, tile_size: int = 32, trace: Trace | None = None, **_opts):
+def _asandpile_lazy(grid: Grid2D, *, tile_size: int = 32, trace: Tracer | None = None, **_opts):
     return TiledAsyncStepper(grid, tile_size, backend=SequentialBackend(trace=trace), lazy=True)
 
 
@@ -222,7 +225,7 @@ def _asandpile_omp(
     chunk: int = 1,
     backend: str = "simulated",
     lazy: bool = True,
-    trace: Trace | None = None,
+    trace: Tracer | None = None,
     retry: RetryPolicy | None = None,
     task_timeout: float | None = None,
     allow_fallback: bool = True,
@@ -248,8 +251,7 @@ def run_to_fixpoint(
     variant: str = "vec",
     *,
     max_iterations: int = 10**7,
-    trace: Trace | None = None,
-    obs=None,
+    trace: Tracer | None = None,
     **options,
 ) -> RunResult:
     """Drive ``kernel/variant`` on *grid* until stable; return statistics.
@@ -261,23 +263,25 @@ def run_to_fixpoint(
     iterations; :class:`~repro.common.errors.SimulationError` is raised
     when *max_iterations* of them pass without reaching the fixpoint.
 
-    *obs* (a :class:`repro.obs.Tracer`) records one wall-clock span per
-    stepper call under the ``easypap`` track group, named after the grid
-    iteration the call starts from.  A falsy tracer (None or
-    :class:`repro.obs.NullTracer`) costs one branch per call — the
-    hot-path guard the overhead benchmark holds to <=5%.
+    *trace* (a :class:`repro.obs.Tracer`) receives the tile spans of the
+    variants that record them, under the ``easypap`` track group, and one
+    wall-clock span per stepper call under ``easypap-driver`` (a pid of
+    its own: tile spans run on batch time, not on the tracer's clock),
+    named after the grid iteration the call starts from.  A falsy tracer
+    (None or :class:`repro.obs.NullTracer`) costs one branch per call —
+    the hot-path guard the overhead benchmark holds to <=5%.
     """
-    traced = bool(obs)
+    traced = bool(trace)
     with SandpileJob(
         grid, kernel, variant, max_iterations=max_iterations, trace=trace, **options
     ) as job:
         more = True
         while more:
             if traced:
-                with obs.span(
+                with trace.span(
                     f"iteration {job.iterations}",
                     cat="iteration",
-                    pid="easypap",
+                    pid=DRIVER_PID,
                     tid="driver",
                 ) as span_args:
                     span_args["iteration"] = job.iterations

@@ -14,7 +14,7 @@ In C a tile is a cache-sized loop nest; in NumPy one call per tile pays
 the interpreter once per tile, which on small tiles costs more than the
 arithmetic.  So the in-process tiled steppers keep the tile decomposition
 for what it decides — which tiles compute, the skip counters, the lazy
-change flags, the trace rows — and do the arithmetic over merged
+change flags, the tile spans — and do the arithmetic over merged
 rectangles of tiles, a few :func:`sync_gather` calls per iteration.
 
 The frontier steppers realise the "as fast as the hardware allows" goal of
@@ -31,8 +31,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.easypap.grid import Grid2D
-from repro.easypap.monitor import TaskRecord, Trace
+from repro.easypap.executor import add_tile_span
 from repro.easypap.tiling import TileGrid
+from repro.obs.tracer import Tracer
 from repro.sandpile.kernels import (
     Window,
     async_sweep,
@@ -226,9 +227,10 @@ class MergedTiledStepper:
 
     What the tiles teach stays per tile: the ``tiles_computed`` and
     ``tiles_skipped`` counters, the :class:`LazyFlags` change tracking, and,
-    with a *trace*, one :class:`TaskRecord` per computed tile, as
+    with a *trace*, one tile span per computed tile, as
     :class:`~repro.easypap.executor.SequentialBackend` records a tile batch
-    (row-major tasks on worker 0, each costing one touch plus its area).
+    (row-major tasks on worker 0, each costing one touch plus its area,
+    every iteration starting where the previous one ended).
 
     Skipped tiles are never written.  The planes swap every iteration, so
     the scratch plane holds the state of two iterations back; a tile is
@@ -247,12 +249,15 @@ class MergedTiledStepper:
         tile_size: int = 32,
         *,
         lazy: bool = False,
-        trace: Trace | None = None,
+        trace: Tracer | None = None,
     ) -> None:
         self.grid = grid
         self.tiles = TileGrid(grid.height, grid.width, tile_size)
         self.lazy_flags = LazyFlags(self.tiles) if lazy else None
         self.trace = trace
+        #: where the next iteration's tile spans start (batch time, as recorded
+        #: by the executor backends)
+        self._timeline_end = 0.0
         self._scratch = grid.data.copy()
         self._div = np.empty_like(grid.data)
         self._whole = [(0, grid.height, 0, grid.width)]
@@ -275,7 +280,7 @@ class MergedTiledStepper:
             np.right_shift(src[y0 : y1 + 2, x0 : x1 + 2], 2, out=div[y0 : y1 + 2, x0 : x1 + 2])
             for window in windows:
                 sync_gather(src, div, dst, window)
-        if self.trace is not None:
+        if self.trace:
             self._record(need)
 
         if flags is None:
@@ -294,14 +299,16 @@ class MergedTiledStepper:
     def _record(self, need: np.ndarray | None) -> None:
         tiles = self.tiles
         order = range(len(tiles)) if need is None else np.flatnonzero(need).tolist()
-        t = 0.0
+        t0, t = self._timeline_end, 0.0
         for task, index in enumerate(order):
             tile = tiles[index]
             cost = _TOUCH_COST + tile.area
-            self.trace.add(
-                TaskRecord(self.iterations, task, 0, t, t + cost, "compute", tile.ty, tile.tx)
+            add_tile_span(
+                self.trace, iteration=self.iterations, task=task, worker=0,
+                start=t0 + t, end=t0 + (t + cost), tile_ty=tile.ty, tile_tx=tile.tx,
             )
             t += cost
+        self._timeline_end = t0 + t
 
 
 def _view(plane: np.ndarray, window: Window) -> np.ndarray:

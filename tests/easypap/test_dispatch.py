@@ -28,7 +28,7 @@ from repro.easypap.executor import (
     TileTask,
 )
 from repro.easypap.grid import Grid2D
-from repro.easypap.monitor import Trace
+from repro.obs import Tracer
 from repro.easypap.schedule import dynamic_chunk_plan, expand_spans, index_spans
 from repro.easypap.tiling import TileGrid, band_tiles
 from repro.obs.metrics import MetricsRegistry
@@ -357,10 +357,13 @@ class TestResidentSelections:
                 while st():
                     pass
                 assert any(n < len(st.tiles) for _, _, n in st.window_log)
-            return {(r.iteration, r.task, r.tile_ty, r.tile_tx) for r in backend.trace.records}
+            return {
+                (s.args["iteration"], s.args["task"], s.args["tile_ty"], s.args["tile_tx"])
+                for s in backend.trace.spans()
+            }
 
-        seq = rows(SequentialBackend(trace=Trace()))
-        proc = rows(ProcessBackend(2, "dynamic", trace=Trace()))
+        seq = rows(SequentialBackend(trace=Tracer()))
+        proc = rows(ProcessBackend(2, "dynamic", trace=Tracer()))
         assert proc == seq
 
 

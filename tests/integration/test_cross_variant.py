@@ -4,7 +4,8 @@ agree with its oracle on shared scenarios."""
 import numpy as np
 import pytest
 
-from repro.easypap.monitor import Trace
+from repro.easypap.executor import TILE_PID
+from repro.obs import Tracer
 from repro.sandpile import (
     HybridStepper,
     LazyGpuStepper,
@@ -94,11 +95,12 @@ class TestFig1Configurations:
 class TestTraceConsistency:
     def test_trace_covers_every_computed_tile(self):
         grid = sparse_random(32, 32, n_piles=3, pile_grains=200, seed=4)
-        trace = Trace()
+        trace = Tracer()
         result = run_to_fixpoint(
             grid, "sandpile", "omp", tile_size=8, nworkers=3, lazy=True, trace=trace
         )
-        assert len(trace) == result.tiles_computed
-        # every record maps to a real tile
-        for r in trace.records:
-            assert 0 <= r.tile_ty < 4 and 0 <= r.tile_tx < 4
+        tiles = [s for s in trace.spans() if s.pid == TILE_PID]
+        assert len(tiles) == result.tiles_computed
+        # every tile span maps to a real tile
+        for s in tiles:
+            assert 0 <= s.args["tile_ty"] < 4 and 0 <= s.args["tile_tx"] < 4

@@ -24,15 +24,17 @@ class TestAssignment1Sandpile:
 
     def test_report_quality_numbers(self):
         """The numbers a student's report needs are all derivable."""
-        from repro.easypap.monitor import Trace
+        from repro.easypap.executor import TILE_PID
+        from repro.obs import Tracer, summarize
 
         g = center_pile(48, 48, 4000)
-        trace = Trace()
+        trace = Tracer()
         result = run_to_fixpoint(
             g, "sandpile", "omp", tile_size=8, nworkers=4, policy="dynamic", trace=trace
         )
-        summary = trace.summarize(result.iterations // 2)
-        assert summary.task_count > 0
+        mid = result.iterations // 2
+        summary = summarize(trace, pid=TILE_PID, where=lambda s: s.args["iteration"] == mid)
+        assert summary.span_count > 0
         assert summary.makespan > 0
         assert 0 <= summary.imbalance
 

@@ -4,10 +4,9 @@ import json
 
 import pytest
 
-from repro.cli import main, trace_main
-from repro.easypap.monitor import TaskRecord, Trace
+from repro.cli import _load_any_trace, main, trace_main
+from repro.easypap.executor import TILE_PID, add_tile_span
 from repro.obs import Tracer, summarize
-from repro.obs.adapters.easypap import trace_to_tracer
 
 from tests.obs.chrome_checks import assert_valid_chrome_doc
 
@@ -24,20 +23,26 @@ def obs_session(tmp_path):
     return path
 
 
+#: task-record rows as earlier versions saved them (one per tile, no ``type``)
+TASK_RECORDS = [
+    {"iteration": 1, "task": 0, "worker": 0, "start": 0.0, "end": 1.0,
+     "kind": "compute", "tile_ty": 0, "tile_tx": 0, "schema": 1},
+    {"iteration": 1, "task": 1, "worker": 1, "start": 0.25, "end": 0.75,
+     "kind": "compute", "tile_ty": 0, "tile_tx": 1, "schema": 1},
+    {"iteration": 2, "task": 0, "worker": 0, "start": 1.0, "end": 1.5,
+     "kind": "gpu", "tile_ty": 0, "tile_tx": 0, "schema": 1},
+]
+
+
 @pytest.fixture
 def easypap_file(tmp_path):
     """An easypap task-record file (no ``type`` keys -> auto-detected)."""
-    trace = Trace()
-    trace.extend(
-        [
-            TaskRecord(1, 0, 0, 0.0, 1.0, "compute", 0, 0),
-            TaskRecord(1, 1, 1, 0.25, 0.75, "compute", 0, 1),
-            TaskRecord(2, 0, 0, 1.0, 1.5, "compute", 0, 0),
-        ]
-    )
     path = tmp_path / "easypap.jsonl"
-    trace.save_jsonl(path)
-    return trace, path
+    path.write_text("".join(json.dumps(row) + "\n" for row in TASK_RECORDS))
+    tracer = Tracer()
+    for row in TASK_RECORDS:
+        add_tile_span(tracer, **{k: v for k, v in row.items() if k != "schema"})
+    return tracer, path
 
 
 class TestExport:
@@ -62,6 +67,19 @@ class TestExport:
         assert_valid_chrome_doc(doc)
         assert len([e for e in doc["traceEvents"] if e["ph"] == "X"]) == 3
 
+    def test_easypap_file_rows_become_tile_spans(self, easypap_file):
+        """Every task-record field survives as the tile span recorded today."""
+        _, path = easypap_file
+        spans = _load_any_trace(str(path)).spans()
+        assert [
+            {"iteration": s.args["iteration"], "task": s.args["task"], "worker": s.tid,
+             "start": s.start, "end": s.end, "kind": s.cat,
+             "tile_ty": s.args["tile_ty"], "tile_tx": s.args["tile_tx"], "schema": 1}
+            for s in spans
+        ] == TASK_RECORDS
+        assert [s.name for s in spans] == ["i1:t0", "i1:t1", "i2:t0"]
+        assert {s.pid for s in spans} == {TILE_PID}
+
     def test_no_output_requested_is_an_error(self, obs_session, capsys):
         assert trace_main(["export", str(obs_session)]) == 2
         assert "nothing to do" in capsys.readouterr().err
@@ -69,18 +87,15 @@ class TestExport:
 
 class TestSummary:
     def test_matches_trace_summarize(self, easypap_file, capsys):
-        """Acceptance: CLI numbers == ``Trace.summarize`` on the same run."""
-        trace, path = easypap_file
+        """Acceptance: CLI numbers == the iteration query on the same spans."""
+        tracer, path = easypap_file
         assert trace_main(["summary", str(path), "--iteration", "1"]) == 0
         out = capsys.readouterr().out
 
-        expected = trace.summarize(1)
-        obs = summarize(
-            trace_to_tracer(trace), where=lambda s: s.args.get("iteration") == 1
-        )
-        assert obs.span_count == expected.task_count
-        assert obs.makespan == pytest.approx(expected.makespan)
-        assert obs.worker_busy == pytest.approx(expected.worker_busy)
+        obs = summarize(tracer, where=lambda s: s.args.get("iteration") == 1)
+        assert obs.span_count == 2
+        assert obs.makespan == pytest.approx(1.0)
+        assert obs.worker_busy == pytest.approx({0: 1.0, 1: 0.5})
         # and the CLI printed exactly that summary
         assert out == obs.render(title=f"{path} iteration 1") + "\n"
 
@@ -98,7 +113,7 @@ class TestDiff:
         assert "makespan" in out and "ratio" in out
 
     def test_iteration_filter_applies_to_both_sides(self, easypap_file, capsys):
-        trace, path = easypap_file
+        _, path = easypap_file
         assert trace_main(["diff", str(path), str(path), "--iteration", "1"]) == 0
         out = capsys.readouterr().out
         assert f"{path} iteration 1 vs {path} iteration 1" in out

@@ -12,10 +12,9 @@ import repro.sandpile.kernels  # noqa: F401 - registers the tile kernels
 from repro.common.resilience import DegradationLog, FaultInjector, RetryPolicy
 from repro.easypap.executor import ProcessBackend, TaskBatch, TileTask
 from repro.easypap.grid import Grid2D
-from repro.easypap.monitor import Trace
 from repro.easypap.tiling import TileGrid
 from repro.obs import Tracer, to_chrome_trace
-from repro.obs.adapters.easypap import degradation_to_instants, trace_to_tracer
+from repro.obs.adapters.easypap import degradation_to_instants
 from repro.sandpile.kernels import sync_tile
 
 from tests.obs.chrome_checks import assert_valid_chrome_doc
@@ -52,19 +51,18 @@ class TestDrainLosesNoSpans:
         scratch = g.data.copy()
         tiles = list(TileGrid(n, n, 4))
 
-        trace = Trace()
+        tracer = Tracer()
         log = DegradationLog()
         injector = FaultInjector(kill_on_tasks={2}, max_fires=1)
         with ProcessBackend(
             2, "dynamic", retry=FAST_RETRY, degradation=log,
-            fault_injector=injector, trace=trace,
+            fault_injector=injector, trace=tracer,
         ) as be:
             be.run(make_sync_batch(be, g, scratch, tiles), iteration=1)
             assert injector.fires == 1  # a worker really died
 
         # every tile's span survived the crash and the pool rebuild
-        assert len(trace) == len(tiles)
-        tracer = trace_to_tracer(trace)
+        assert len(tracer) == len(tiles)
         assert {(s.args["tile_ty"], s.args["tile_tx"]) for s in tracer.spans()} == {
             (t.ty, t.tx) for t in tiles
         }

@@ -10,19 +10,14 @@ import pytest
 
 import repro.sandpile.kernels  # noqa: F401 - registers the tile kernels
 from repro.common.resilience import DegradationLog, FaultInjector, RetryPolicy
-from repro.easypap.executor import ProcessBackend, TaskBatch, TileTask
+from repro.easypap.executor import ProcessBackend, TaskBatch, TileTask, add_tile_span
 from repro.easypap.grid import Grid2D
-from repro.easypap.monitor import TaskRecord, Trace
 from repro.easypap.tiling import TileGrid
 from repro.mapreduce.cluster import ClusterConfig, SimulatedCluster
 from repro.mapreduce.engine import run_job, run_job_parallel
 from repro.mapreduce.job import MapReduceJob
 from repro.obs import Tracer, summarize, to_chrome_trace
-from repro.obs.adapters.easypap import (
-    degradation_to_instants,
-    trace_to_tracer,
-    tracer_to_trace,
-)
+from repro.obs.adapters.easypap import degradation_to_instants
 from repro.obs.adapters.mapreduce import cluster_report_to_tracer
 from repro.obs.adapters.simmpi import stats_to_registry, world_report_summary
 from repro.obs.adapters.wrench import simulation_result_to_tracer
@@ -41,26 +36,23 @@ FAST_RETRY = RetryPolicy(max_attempts=3, base_delay=0.0)
 # -- easypap ----------------------------------------------------------------------
 
 
-def make_easypap_trace() -> Trace:
-    trace = Trace()
-    trace.extend(
-        [
-            TaskRecord(1, 0, 0, 0.0, 1.0, "compute", 0, 0),
-            TaskRecord(1, 1, 1, 0.0, 0.5, "gpu", 0, 1),
-            TaskRecord(2, 0, 0, 1.0, 1.25, "compute", 0, 0),
-        ]
-    )
-    return trace
+def make_easypap_trace() -> Tracer:
+    tracer = Tracer()
+    for iteration, task, worker, start, end, kind, tx in [
+        (1, 0, 0, 0.0, 1.0, "compute", 0),
+        (1, 1, 1, 0.0, 0.5, "gpu", 1),
+        (2, 0, 0, 1.0, 1.25, "compute", 0),
+    ]:
+        add_tile_span(
+            tracer, iteration=iteration, task=task, worker=worker, start=start, end=end,
+            kind=kind, tile_ty=0, tile_tx=tx,
+        )
+    return tracer
 
 
 class TestEasypapAdapter:
-    def test_round_trip_is_lossless(self):
-        trace = make_easypap_trace()
-        back = tracer_to_trace(trace_to_tracer(trace))
-        assert back.records == trace.records
-
     def test_spans_carry_tile_coordinates(self):
-        tracer = trace_to_tracer(make_easypap_trace())
+        tracer = make_easypap_trace()
         s = tracer.spans()[1]
         assert s.cat == "gpu" and s.tid == 1
         assert s.args["tile_ty"] == 0 and s.args["tile_tx"] == 1
@@ -84,14 +76,13 @@ class TestEasypapAdapter:
         scratch = g.data.copy()
         tiles = list(TileGrid(n, n, 4))
         spec = [TileTask("sync_tile", 0, 1, t) for t in tiles]
-        trace = Trace()
-        with ProcessBackend(2, "dynamic", trace=trace) as be:
+        tracer = Tracer()
+        with ProcessBackend(2, "dynamic", trace=tracer) as be:
             be.bind_planes(g.data, scratch)
             be.run(TaskBatch([lambda: None] * len(tiles), tiles=tiles, spec=spec),
                    iteration=1)
-        assert len(trace) == len(tiles)
+        assert len(tracer) == len(tiles)
 
-        tracer = trace_to_tracer(trace)
         doc = to_chrome_trace(tracer)
         assert_valid_chrome_doc(doc)
         spans = [e for e in doc["traceEvents"] if e["ph"] == "X"]
@@ -113,12 +104,36 @@ class TestTracedDriver:
         while stepper():
             calls += 1
         tracer = Tracer()
-        run_to_fixpoint(grid, "sandpile", "vec", obs=tracer)
+        run_to_fixpoint(grid, "sandpile", "vec", trace=tracer)
         spans = tracer.spans()
         assert [s.name for s in spans] == [f"iteration {i}" for i in range(calls)]
         for i, s in enumerate(spans):
-            assert (s.cat, s.pid, s.tid) == ("iteration", "easypap", "driver")
+            assert (s.cat, s.pid, s.tid) == ("iteration", "easypap-driver", "driver")
             assert s.args == {"iteration": i, "kernel": "sandpile", "variant": "vec"}
+
+
+class TestEasypapRunTimeline:
+    """A whole traced run is one timeline: batches never overlap on a lane."""
+
+    @pytest.mark.parametrize(
+        "kernel,variant,opts",
+        [
+            ("sandpile", "omp", {"lazy": True}),  # simulated backend
+            ("sandpile", "omp", {"backend": "threads"}),
+            ("sandpile", "lazy", {}),
+            ("asandpile", "omp", {"lazy": True}),
+        ],
+    )
+    def test_whole_run_exports_to_perfetto(self, kernel, variant, opts):
+        from repro.sandpile.model import center_pile
+        from repro.sandpile.simulate import run_to_fixpoint
+
+        tracer = Tracer()
+        run_to_fixpoint(
+            center_pile(48, 48, 4_000), kernel, variant,
+            tile_size=8, nworkers=4, trace=tracer, **opts,
+        )
+        assert_valid_chrome_doc(to_chrome_trace(tracer))
 
 
 # -- mapreduce --------------------------------------------------------------------

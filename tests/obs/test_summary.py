@@ -1,24 +1,31 @@
-"""Tests for trace summaries/diffs and agreement with ``Trace.summarize``."""
+"""Tests for trace summaries/diffs, including easypap per-iteration queries."""
 
 import pytest
 
-from repro.easypap.monitor import TaskRecord, Trace
+from repro.easypap.executor import TILE_PID, add_tile_span
 from repro.obs import Tracer, diff_summaries, summarize
-from repro.obs.adapters.easypap import trace_to_tracer
 
 
-def make_easypap_trace() -> Trace:
-    trace = Trace()
+def make_easypap_trace() -> Tracer:
+    tracer = Tracer()
     rows = [
         # iteration 1: two workers, uneven load
-        TaskRecord(1, 0, 0, 0.0, 1.0, "compute", 0, 0),
-        TaskRecord(1, 1, 0, 1.0, 1.5, "compute", 0, 1),
-        TaskRecord(1, 2, 1, 0.0, 0.75, "compute", 1, 0),
+        (1, 0, 0, 0.0, 1.0, 0, 0),
+        (1, 1, 0, 1.0, 1.5, 0, 1),
+        (1, 2, 1, 0.0, 0.75, 1, 0),
         # iteration 2: one worker
-        TaskRecord(2, 0, 0, 2.0, 2.5, "compute", 0, 0),
+        (2, 0, 0, 2.0, 2.5, 0, 0),
     ]
-    trace.extend(rows)
-    return trace
+    for iteration, task, worker, start, end, ty, tx in rows:
+        add_tile_span(
+            tracer, iteration=iteration, task=task, worker=worker,
+            start=start, end=end, tile_ty=ty, tile_tx=tx,
+        )
+    return tracer
+
+
+#: per iteration, worked out by hand: span count, makespan, per-worker busy
+EXPECTED = {1: (3, 1.5, {0: 1.5, 1: 0.75}), 2: (1, 0.5, {0: 0.5})}
 
 
 class TestSummarize:
@@ -63,25 +70,26 @@ class TestSummarize:
 
 
 class TestAgreementWithEasypapSummaries:
-    """``trace summary --iteration N`` must match ``Trace.summarize(N)``."""
+    """``trace summary --iteration N`` gives the per-iteration tile numbers."""
 
     @pytest.mark.parametrize("iteration", [1, 2])
     def test_per_iteration_numbers_agree(self, iteration):
-        trace = make_easypap_trace()
-        expected = trace.summarize(iteration)
+        count, makespan, busy = EXPECTED[iteration]
         got = summarize(
-            trace_to_tracer(trace),
+            make_easypap_trace(),
+            pid=TILE_PID,
             where=lambda s: s.args.get("iteration") == iteration,
         )
-        assert got.span_count == expected.task_count
-        assert got.makespan == pytest.approx(expected.makespan)
-        assert got.total_busy == pytest.approx(expected.total_work)
-        assert got.worker_busy == pytest.approx(expected.worker_busy)
-        assert got.imbalance == pytest.approx(expected.imbalance)
+        assert got.span_count == count
+        assert got.makespan == pytest.approx(makespan)
+        assert got.total_busy == pytest.approx(sum(busy.values()))
+        assert got.worker_busy == pytest.approx(busy)
+        mean = sum(busy.values()) / len(busy)
+        assert got.imbalance == pytest.approx(max(busy.values()) / mean - 1.0)
 
     def test_task_counts_per_worker(self):
         got = summarize(
-            trace_to_tracer(make_easypap_trace()),
+            make_easypap_trace(),
             where=lambda s: s.args.get("iteration") == 1,
         )
         assert got.task_counts == {0: 2, 1: 1}

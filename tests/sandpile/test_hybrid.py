@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.easypap.monitor import Trace
+from repro.obs import Tracer
 from repro.sandpile.gpu import DeviceModel
 from repro.sandpile.hybrid import CpuModel, HybridStepper
 from repro.sandpile.model import center_pile, random_uniform
@@ -121,9 +121,25 @@ class TestOwnerMap:
         assert (s.last_owner_map == -1).any()
 
     def test_trace_kinds(self):
-        trace = Trace()
+        trace = Tracer()
         g = center_pile(16, 16, 400)
         s = HybridStepper(g, tile_size=4, nworkers=2, trace=trace, rebalance=False)
         s()
-        kinds = {r.kind for r in trace.records}
+        kinds = {span.cat for span in trace.spans()}
         assert kinds == {"compute", "gpu"}
+
+    def test_traced_iterations_lie_end_to_end(self):
+        trace = Tracer()
+        s = HybridStepper(center_pile(32, 32, 2_000), tile_size=4, nworkers=2, trace=trace)
+        for _ in range(6):
+            s()
+        by_iteration: dict[int, list] = {}
+        for span in trace.spans():
+            by_iteration.setdefault(span.args["iteration"], []).append(span)
+        assert sorted(by_iteration) == list(range(6))
+        for i in range(5):
+            end = max(span.end for span in by_iteration[i])
+            assert min(span.start for span in by_iteration[i + 1]) >= end
+        # the device tiles of one launch share the launch interval
+        gpu = [span for span in by_iteration[5] if span.cat == "gpu"]
+        assert len({(span.start, span.end) for span in gpu}) == 1

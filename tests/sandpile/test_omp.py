@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.easypap.executor import ProcessBackend, SimulatedBackend, ThreadBackend
-from repro.easypap.monitor import Trace
+from repro.easypap.executor import TILE_PID, ProcessBackend, SimulatedBackend, ThreadBackend
+from repro.easypap.display import tile_owners
+from repro.obs import Tracer, summarize
 from repro.sandpile.model import center_pile, random_uniform, sparse_random
 from repro.sandpile.omp import TiledAsyncStepper, TiledSyncStepper, wave_partition
 from repro.easypap.tiling import TileGrid
@@ -79,12 +80,12 @@ class TestTiledSyncStepper:
         assert np.array_equal(g.interior, small_random_stable.interior)
 
     def test_trace_records_tiles(self):
-        trace = Trace()
+        trace = Tracer()
         g = center_pile(16, 16, 64)
         backend = SimulatedBackend(2, "static", trace=trace)
         drive(TiledSyncStepper(g, 8, backend=backend))
         assert len(trace) > 0
-        owners = trace.tile_owner_map(2, 2, 0)
+        owners = tile_owners(trace, 2, 2, 0)
         assert (owners >= 0).all()  # eager: every tile computed at iteration 0
 
 
@@ -101,6 +102,26 @@ class TestTiledAsyncStepper:
         expected = stabilize(g.copy())
         drive(TiledAsyncStepper(g, 6, lazy=True))
         assert np.array_equal(g.interior, expected.interior)
+
+    def test_traced_iteration_lasts_the_sum_of_its_waves(self):
+        waves: dict[int, list[float]] = {}
+
+        class WaveLog(SimulatedBackend):
+            def run(self, batch, *, iteration=0, kind="compute"):
+                result = super().run(batch, iteration=iteration, kind=kind)
+                waves.setdefault(iteration, []).append(result.makespan)
+                return result
+
+        trace = Tracer()
+        stepper = TiledAsyncStepper(
+            center_pile(48, 48, 4_000), 8, backend=WaveLog(4, "dynamic", trace=trace), lazy=True
+        )
+        drive(stepper)
+        assert len(waves) == stepper.iterations
+        assert any(len(w) > 1 for w in waves.values())
+        for i, wave_makespans in waves.items():
+            s = summarize(trace, pid=TILE_PID, where=lambda s: s.args["iteration"] == i)
+            assert s.makespan == pytest.approx(sum(wave_makespans))
 
     def test_conservation(self):
         g = center_pile(16, 16, 500)
@@ -174,7 +195,7 @@ class TestProcessBackendSteppers:
             stepper.close()
 
     def test_trace_has_stable_worker_lanes(self, small_random_grid):
-        trace = Trace()
+        trace = Tracer()
         g = small_random_grid.copy()
         stepper = TiledSyncStepper(g, 6, backend=ProcessBackend(2, "dynamic", trace=trace))
         try:
@@ -182,9 +203,9 @@ class TestProcessBackendSteppers:
                 stepper()
         finally:
             stepper.close()
-        workers = {r.worker for r in trace.records}
+        workers = {s.tid for s in trace.spans()}
         assert workers <= {0, 1}
-        assert all(r.end >= r.start for r in trace.records)
+        assert all(s.end >= s.start for s in trace.spans())
 
     def test_close_detaches_grid_from_shared_memory(self, small_random_grid):
         g = small_random_grid.copy()

@@ -17,7 +17,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro.easypap.executor import SequentialBackend
 from repro.easypap.grid import Grid2D
-from repro.easypap.monitor import Trace
+from repro.obs import Tracer
 from repro.sandpile.model import center_pile
 from repro.sandpile.omp import TiledAsyncStepper, TiledSyncStepper
 from repro.sandpile.reference import stabilize_reference
@@ -147,7 +147,7 @@ def test_monotone_in_grains(interior, extra):
 @settings(max_examples=40, deadline=None)
 def test_merged_tiled_stepper_matches_per_tile_stepper(interior, tile_size, lazy):
     ref_grid, grid = Grid2D.from_interior(interior), Grid2D.from_interior(interior)
-    ref_trace, trace = Trace(), Trace()
+    ref_trace, trace = Tracer(), Tracer()
     ref = TiledSyncStepper(
         ref_grid, tile_size, backend=SequentialBackend(trace=ref_trace), lazy=lazy
     )

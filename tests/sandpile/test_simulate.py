@@ -1,10 +1,14 @@
 """Tests for the run_to_fixpoint driver and variant registration."""
 
+import inspect
+
 import numpy as np
 import pytest
 
 from repro.common.errors import KernelError
-from repro.easypap.monitor import Trace
+from repro.easypap.executor import TILE_PID
+from repro.easypap.kernel import REGISTRY
+from repro.obs import Tracer, summarize
 from repro.sandpile.model import center_pile, random_uniform, sparse_random
 from repro.sandpile.simulate import make_stepper, run_to_fixpoint
 
@@ -70,11 +74,38 @@ class TestRunResult:
             run_to_fixpoint(g, "sandpile", "vec", max_iterations=3)
 
     def test_trace_carried(self):
-        trace = Trace()
+        trace = Tracer()
         g = center_pile(16, 16, 100)
         r = run_to_fixpoint(g, "sandpile", "omp", tile_size=8, nworkers=2, trace=trace)
         assert r.trace is trace
         assert len(trace) > 0
+
+
+def _variants_taking_trace():
+    return [
+        (info.kernel, info.name)
+        for info in REGISTRY.all_variants()
+        if info.kernel in ("sandpile", "asandpile")
+        and "trace" in inspect.signature(info.fn).parameters
+    ]
+
+
+class TestTracingChangesNothing:
+    @pytest.mark.parametrize("kernel,variant", _variants_taking_trace())
+    def test_traced_run_matches_untraced(self, kernel, variant):
+        runs = []
+        for trace in (None, Tracer()):
+            g = sparse_random(30, 30, n_piles=3, pile_grains=300, seed=7)
+            r = run_to_fixpoint(g, kernel, variant, tile_size=6, nworkers=2, trace=trace)
+            runs.append((g, r))
+        (plain, r0), (traced, r1) = runs
+        assert np.array_equal(traced.data, plain.data)
+        assert traced.sink_absorbed == plain.sink_absorbed
+        assert (r1.iterations, r1.tiles_computed, r1.tiles_skipped) == (
+            r0.iterations, r0.tiles_computed, r0.tiles_skipped
+        )
+        # and the traced run did record: one tile span per computed tile
+        assert summarize(r1.trace, pid=TILE_PID).span_count == r1.tiles_computed
 
 
 class TestMakeStepper:

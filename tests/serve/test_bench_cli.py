@@ -2,11 +2,13 @@
 
 import asyncio
 import json
+import threading
 
 import pytest
 
 from repro.cli import serve_main
 from repro.common.errors import ConfigurationError
+from repro.common.job import Job, JobProgress
 from repro.serve import (
     BenchReport,
     JobService,
@@ -16,12 +18,41 @@ from repro.serve import (
     load_config,
     run_bench,
 )
+from repro.serve.spec import register_workload
 
 FAST_MIX = [
     JobSpec("mapreduce", "wordcount", {"nsplits": 2, "lines_per_split": 2}),
     JobSpec("simmpi", "world", {"nranks": 2}),
     JobSpec("wrench", "montage", {"n_projections": 3, "n_difffits": 4}),
 ]
+
+#: held shut while a test submits, so no gated job can finish before then
+GATE = threading.Event()
+
+
+class GatedJob(Job):
+    """One step that blocks until :data:`GATE` opens."""
+
+    name = "gated"
+    substrate = "test"
+
+    def __init__(self):
+        self.done = False
+
+    def step(self):
+        if not GATE.wait(timeout=30):
+            raise TimeoutError("the test never opened the gate")
+        self.done = True
+        return False
+
+    def result(self):
+        return {"done": self.done}
+
+    def progress(self):
+        return JobProgress(steps_done=int(self.done), done=self.done, steps_total=1)
+
+
+register_workload("test", "gated", lambda p: GatedJob())
 
 
 class TestRunBench:
@@ -57,13 +88,36 @@ class TestRunBench:
             assert sum(a.by_tenant[tenant].values()) == sum(b.by_tenant[tenant].values())
 
     def test_shedding_shows_up_in_the_report(self):
+        """Jobs that cannot finish while requests arrive must be shed.
+
+        Every job waits on :data:`GATE`, which opens only once the last
+        request has been admitted or rejected, so one slot running and one
+        queued leave the rest to ``queue-full`` on any host speed.
+        """
+        requests = 12
+
         async def body():
             pol = TenantPolicy(name="a", max_active=1, max_queued=1)
             async with JobService([pol], workers=1) as svc:
-                return await run_bench(svc, requests=12, rate=5000.0, seed=0,
-                                       specs=FAST_MIX, tenants=["a"])
+                submit, submitted = svc.submit, []
 
-        report = run_async(body())
+                def submit_then_count(spec, **kw):
+                    submitted.append(submit(spec, **kw))  # admitted or rejected here
+                    if len(submitted) == requests:
+                        GATE.set()
+                    return submitted[-1]
+
+                svc.submit = submit_then_count
+                return await run_bench(svc, requests=requests, rate=5000.0,
+                                       seed=0, specs=[JobSpec("test", "gated")],
+                                       tenants=["a"])
+
+        GATE.clear()
+        try:
+            report = run_async(body())
+        finally:
+            GATE.set()
+        assert report.completed + report.rejected == requests
         assert report.rejected > 0
         assert report.rejected_reasons.get("queue-full", 0) == report.rejected
 
