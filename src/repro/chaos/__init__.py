@@ -3,7 +3,8 @@
 A **chaos campaign** is a declarative sweep of fault scenarios ×
 substrates × seeds.  Each scenario runs a real workload with a real
 fault injected — a killed worker process, an exception inside a task, an
-expired deadline, a corrupted checkpoint file, a kill-and-resume cycle —
+expired deadline, a corrupted checkpoint file, a kill-and-resume cycle,
+a pooled worker that must not be leased again —
 and asserts recovery *invariants* instead of mere survival: the faulted
 (or resumed) run must produce bit-identical results to the fault-free
 baseline, degradation must be recorded (no vacuous green), retries must

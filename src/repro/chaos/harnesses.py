@@ -12,6 +12,11 @@ invariants, by name:
 ``honest-work``      step/iteration accounting disagrees with the baseline
 ``resume-equivalence``    a resumed run did not complete or lost its snapshot
 ``diagnosable-error``     an expected failure surfaced without actionable detail
+``fresh-lease``      a job ran on a pooled worker it must not lease: one of
+                     a dead, failed or outdated set, or of a set another
+                     running job holds
+``pool-reused``      a clean idle set was not leased again, so a pool cell
+                     checked nothing
 
 Workloads are sized for sub-second runs so a full campaign stays cheap
 enough for CI; seeds flow from the scenario so campaigns are
@@ -25,7 +30,7 @@ from repro.common.errors import CommunicationError
 from repro.common.resilience import Deadline, DegradationLog, FaultInjector, RetryPolicy
 from repro.common.rng import make_rng
 from repro.common.supervisor import JobInterrupted, Supervisor
-from repro.chaos.scenarios import Scenario
+from repro.chaos.scenarios import POOL_KINDS, Scenario
 
 __all__ = ["run_scenario", "HARNESSES"]
 
@@ -110,6 +115,9 @@ def run_easypap(sc: Scenario, ctx: _Ctx) -> tuple[list[str], dict]:
     ref = _easypap_fingerprint(baseline)
     violations: list[str] = []
     detail: dict = {"baseline_iterations": baseline["iterations"]}
+
+    if sc.kind in POOL_KINDS:
+        return _run_easypap_pool(sc, n, tile, ref[1:]), detail
 
     if sc.kind in ("inject-raise", "worker-kill"):
         # pfrontier on real worker processes; the backend's own resilience
@@ -211,6 +219,103 @@ def run_easypap(sc: Scenario, ctx: _Ctx) -> tuple[list[str], dict]:
     if sc.kind == "corrupt-checkpoint" and detail.get("rejected_snapshots", 0) < 1:
         violations.append("fault-fired")  # the corruption was never even seen
     return violations, detail
+
+
+def _leased_job(grid, tile: int, **opts):
+    """pfrontier on 2 pooled workers: ``(job, its worker pids)`` after one step."""
+    from repro.easypap.job import SandpileJob
+
+    opts.setdefault("retry", _RETRY)
+    job = SandpileJob(
+        grid, variant="pfrontier", backend="process", nworkers=2, tile_size=tile, **opts
+    )
+    job.step()
+    return job, set(job.stepper.backend.worker_pids)
+
+
+def _run_easypap_pool(sc: Scenario, n: int, tile: int, want: tuple) -> list[str]:
+    """The idle-pool cells: each job must reach *want* (sink, grid bytes)."""
+    import multiprocessing
+    import os
+    import signal
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    from repro.easypap.executor import get_tile_kernel, register_tile_kernel, tile_kernel_tags
+    from repro.easypap.job import SandpileJob
+
+    violations: list[str] = []
+
+    def check(result: dict, want: tuple = want) -> None:
+        if (result["sink_absorbed"], result["grid"].tobytes()) != want:
+            violations.append("bit-identical")
+
+    def run(size: int = n, want: tuple = want, **opts) -> set[int]:
+        job, pids = _leased_job(_easypap_grid(sc.seed, size), tile, **opts)
+        with job:
+            check(job.run(), want)
+        return pids
+
+    if sc.kind == "pool-kill":
+        first = run()
+        idle = [p for p in multiprocessing.active_children() if p.pid in first]
+        if not idle:
+            violations.append("pool-reused")
+        for victim in idle[:1]:
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=10)
+        if run() & first:
+            violations.append("fresh-lease")
+    elif sc.kind == "pool-failed-job":
+        log = DegradationLog()
+        job, failed = _leased_job(
+            _easypap_grid(sc.seed, n), tile,
+            retry=RetryPolicy(max_attempts=1), degradation=log,
+        )
+        with job:
+            # worker 0 takes the first chunk of every batch: the next step
+            # finds it dead and, with one attempt, falls back to threads
+            os.kill(job.stepper.backend.worker_pids[0], signal.SIGKILL)
+            check(job.run())
+        if not log.by_action("thread-fallback"):
+            violations.append("fault-fired")
+        if run() & failed:
+            violations.append("fresh-lease")
+    elif sc.kind == "pool-isolation":
+        # a smaller grid with fused bands first: both jobs register resident 0
+        small = n // 2 + 4
+        base = SandpileJob(_easypap_grid(sc.seed, small), variant="frontier").run()
+        first = run(small, (base["sink_absorbed"], base["grid"].tobytes()), k=2)
+        if run() != first:
+            violations.append("pool-reused")
+    elif sc.kind == "pool-late-kernel":
+        first = run()
+        name = "sync_tile_nc"  # re-registered unchanged: only the registry moves on
+        register_tile_kernel(name, get_tile_kernel(name), tags=tile_kernel_tags(name))
+        if run() & first:
+            violations.append("fresh-lease")
+    else:  # pool-concurrent
+        run()  # one idle set for the two leases to race for
+        start = threading.Barrier(2, timeout=60)
+        lock = threading.Lock()
+        busy: set[int] = set()  # workers of the jobs running right now
+
+        def lease() -> None:
+            start.wait()
+            job, pids = _leased_job(_easypap_grid(sc.seed, n), tile)
+            with job:
+                with lock:
+                    if pids & busy:
+                        violations.append("fresh-lease")
+                    busy.update(pids)
+                check(job.run())
+                with lock:
+                    busy.difference_update(pids)
+
+        with ThreadPoolExecutor(2) as pool:
+            for future in [pool.submit(lease) for _ in range(2)]:
+                future.result(timeout=60)
+    return violations
 
 
 # -- mapreduce ----------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Declarative fault scenarios and the default campaign matrix.
 
 A :class:`Scenario` names one (substrate, fault kind, seed) cell plus
-free-form workload parameters.  The five fault kinds:
+free-form workload parameters.  The fault kinds:
 
 ``inject-raise``
     An exception is injected inside a task attempt; retries must absorb
@@ -21,6 +21,26 @@ free-form workload parameters.  The five fault kinds:
     The run is interrupted mid-flight and resumed from its latest
     checkpoint; the resumed result must be bit-identical.
 
+The easypap process backend leases its workers from an idle pool that
+outlives each job, so five more kinds check what one lease may hand the
+next (each job must reach the bit-identical fixpoint):
+
+``pool-kill``
+    An idle pooled worker is killed between two jobs; the next job must
+    run on a freshly forked set.
+``pool-failed-job``
+    A worker dies mid-job and the job exhausts its retries; the next job
+    must not receive any worker of the failed set.
+``pool-isolation``
+    Back-to-back jobs on different grid sizes and fused step counts reuse
+    one set; nothing of the first (planes, residents, claims) may reach
+    the second.
+``pool-late-kernel``
+    A tile kernel is registered after the idle set forked; the next job
+    must run on workers forked after the registration.
+``pool-concurrent``
+    Two threads lease at once; each must get a set of its own.
+
 Not every kind applies to every substrate (there is no worker process to
 kill in the thread-based mapreduce engine, and an SPMD world has no
 mid-run snapshot); :func:`default_campaign` enumerates the meaningful
@@ -36,8 +56,11 @@ from repro.common.rng import DEFAULT_SEED
 
 __all__ = ["KINDS", "SUBSTRATES", "Scenario", "default_campaign"]
 
+POOL_KINDS = (
+    "pool-kill", "pool-failed-job", "pool-isolation", "pool-late-kernel", "pool-concurrent"
+)
 KINDS = frozenset(
-    {"inject-raise", "worker-kill", "deadline", "corrupt-checkpoint", "kill-resume"}
+    {"inject-raise", "worker-kill", "deadline", "corrupt-checkpoint", "kill-resume", *POOL_KINDS}
 )
 SUBSTRATES = ("easypap", "mapreduce", "simmpi", "wrench")
 
@@ -77,6 +100,7 @@ _DEFAULT_CELLS: tuple[tuple[str, str, bool], ...] = (
     ("easypap", "deadline", False),
     ("easypap", "corrupt-checkpoint", False),
     ("easypap", "kill-resume", False),
+    *(("easypap", kind, True) for kind in POOL_KINDS),
     ("mapreduce", "inject-raise", False),
     ("mapreduce", "deadline", False),
     ("mapreduce", "corrupt-checkpoint", False),

@@ -25,6 +25,7 @@ from repro.easypap.executor import (
     TaskBatch,
     ThreadBackend,
     make_backend,
+    shutdown_idle_pool,
 )
 from repro.easypap.grid import Grid2D
 from repro.easypap.kernel import REGISTRY, KernelRegistry, VariantInfo, get_variant, register_variant
@@ -52,6 +53,7 @@ __all__ = [
     "SimulatedBackend",
     "ThreadBackend",
     "ProcessBackend",
+    "shutdown_idle_pool",
     "make_backend",
     "PerfCampaign",
     "PerfPoint",

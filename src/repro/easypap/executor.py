@@ -17,12 +17,13 @@ assignment's needs:
   :mod:`multiprocessing.shared_memory`-backed grid planes: the first
   backend whose speedup is measured on actual hardware rather than
   simulated.  Each worker is a long-lived forked process holding one end
-  of a command/result pipe pair; planes are attached once at spawn, and
-  recurring batches are *registered resident* once per batch identity so
-  an iteration ships only a tiny command tuple (batch id, plan selection
-  spans, epoch) instead of re-pickling chunk items; a per-iteration
-  selection of a registered batch (:meth:`TaskBatch.subset`) ships as
-  index spans into it.  Chunks still follow the same
+  of a command/result pipe pair; worker sets are *leased* from an idle
+  pool that outlives each backend and attach the job's planes once per
+  lease, and recurring batches are *registered resident* once per batch
+  identity so an iteration ships only a tiny command tuple (batch id,
+  plan selection spans, epoch) instead of re-pickling chunk items; a
+  per-iteration selection of a registered batch (:meth:`TaskBatch.subset`)
+  ships as index spans into it.  Chunks still follow the same
   ``static``/``cyclic``/``dynamic``/``guided`` plans as
   :func:`~repro.easypap.schedule.simulate_schedule`, and every policy
   sends at most one command per worker per batch: static/cyclic chunks
@@ -50,6 +51,7 @@ from concurrent.futures.process import BrokenProcessPool
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from itertools import accumulate
+from multiprocessing import resource_tracker
 
 import numpy as np
 
@@ -81,6 +83,7 @@ __all__ = [
     "SimulatedBackend",
     "ThreadBackend",
     "ProcessBackend",
+    "shutdown_idle_pool",
     "make_backend",
     "TILE_PID",
     "add_tile_span",
@@ -511,23 +514,9 @@ class ThreadBackend(_TileTimeline):
 
 # -- ProcessBackend worker-side machinery (module level: picklable by name) ----
 
-_PROC_PLANES: dict = {}
-
-
-def _proc_attach(
-    plane_specs: list[tuple[str, tuple, str]],
-    fault_injector: FaultInjector | None = None,
-) -> None:
-    """Worker initializer: map every shared plane into this worker process."""
-    from multiprocessing import shared_memory
-
-    segments = [shared_memory.SharedMemory(name=name) for name, _, _ in plane_specs]
-    _PROC_PLANES["shm"] = segments
-    _PROC_PLANES["arrays"] = [
-        np.ndarray(shape, dtype=np.dtype(dtype), buffer=seg.buf)
-        for seg, (_, shape, dtype) in zip(segments, plane_specs)
-    ]
-    _PROC_PLANES["injector"] = fault_injector
+#: a worker that no lease has attached for this long exits on its own; the
+#: parent leases an idle set only within half of it (see :func:`_lease`)
+_IDLE_EXIT_S = 2.0
 
 
 def _resident_items(resident: dict, bid: int | None, payload) -> list[tuple[int, TileTask]]:
@@ -576,7 +565,9 @@ def _claimed(claims: int, wid: int, plan):
     starts together — then claim chunk ids from the shared queue until it
     is empty: the shared-queue ``dynamic`` schedule.  The pipe read end is
     non-blocking and each 4-byte read is atomic, so no two workers claim
-    one id, and no lock exists for a killed worker to leave held.
+    one id, and no lock exists for a killed worker to leave held.  Every
+    worker holds the write end from its fork on, so a read never sees
+    end-of-file.
     """
     if plan is None:
         yield 0, None
@@ -589,23 +580,36 @@ def _claimed(claims: int, wid: int, plan):
             raw = os.read(claims, 4)
         except BlockingIOError:  # queue empty: every chunk is taken
             return
-        if len(raw) < 4:  # write end closed: the pool is being torn down
-            return
         c = int.from_bytes(raw, "little")
+
+
+def _attach(plane_specs: list[tuple[str, tuple, str]]) -> tuple[list, list[np.ndarray]]:
+    """Map the shared planes named by *plane_specs*: ``(segments, arrays)``."""
+    from multiprocessing import shared_memory
+
+    segments = [shared_memory.SharedMemory(name=name) for name, _, _ in plane_specs]
+    arrays = [
+        np.ndarray(shape, dtype=np.dtype(dtype), buffer=seg.buf)
+        for seg, (_, shape, dtype) in zip(segments, plane_specs)
+    ]
+    return segments, arrays
 
 
 def _worker_main(
     conn,
     wid: int,
-    plane_specs: list[tuple[str, tuple, str]],
     fault_injector: FaultInjector | None,
     claims: int,
 ) -> None:
-    """Persistent worker loop: attach planes once, then serve commands.
+    """Persistent worker loop: serve commands for one lease after another.
 
     Commands arrive pre-pickled over *conn* (one duplex pipe per worker):
 
     * ``("stop",)`` — exit the loop;
+    * ``("attach", plane_specs)`` — drop the previous lease's planes and
+      residents and map the new lease's planes;
+    * ``("detach",)`` — drop the planes and residents: the set is idle,
+      and exits on its own if no attach comes within :data:`_IDLE_EXIT_S`;
     * ``("register", bid, (kind, body))`` — install a resident batch;
     * ``("run", seq, epoch, bid, payload, plan)`` — execute the items
       of *payload* (all of them, or a first chunk and then the chunks
@@ -623,18 +627,40 @@ def _worker_main(
     completed rows are still reported so the parent re-submits only what
     is genuinely missing.
     """
-    _proc_attach(plane_specs, fault_injector)
-    arrays = _PROC_PLANES["arrays"]
-    injector: FaultInjector | None = _PROC_PLANES.get("injector")
+    # the parent creates, tracks and unlinks every plane; a worker only maps
+    # them.  Mapping one registers it with the resource tracker too (before
+    # Python 3.13), and a registration arriving after the parent's unlink
+    # would be reported, and unlinked again, as a leak at exit.
+    resource_tracker.register = lambda name, rtype: None
+    segments: list = []
+    arrays: list[np.ndarray] = []
+    leased = False
     resident: dict[int, tuple] = {}
     while True:
         try:
+            if not leased and not conn.poll(_IDLE_EXIT_S):
+                return  # idle past any lease the parent may still grant
             msg = pickle.loads(conn.recv_bytes())
         except (EOFError, OSError):  # parent went away: nothing left to serve
             return
         op = msg[0]
         if op == "stop":
             return
+        if op in ("attach", "detach"):
+            resident.clear()
+            arrays = []
+            for seg in segments:
+                try:
+                    seg.close()
+                except BufferError:  # pragma: no cover - a kernel kept a view
+                    pass
+            segments, leased = [], op == "attach"
+            if leased:
+                try:
+                    segments, arrays = _attach(msg[1])
+                except FileNotFoundError:  # unlinked already: the lease ended unused
+                    pass
+            continue
         if op == "register":
             resident[msg[1]] = msg[2]
             continue
@@ -650,8 +676,8 @@ def _worker_main(
                         raise SchedulingError(
                             f"tile kernel {task.kernel!r} is not registered in this worker"
                         )
-                    if injector is not None:
-                        injector.check(idx)
+                    if fault_injector is not None:
+                        fault_injector.check(idx)
                     t0 = time.perf_counter() - epoch
                     ret = fn(arrays, task)
                     t1 = time.perf_counter() - epoch
@@ -680,6 +706,151 @@ class _Worker:
         self.alive = True
 
 
+class _WorkerSet:
+    """Forked workers with their claim queue and command ``seq`` counter.
+
+    A set outlives the backend that leased it: :func:`_park` keeps a
+    clean one in the idle pool and the next backend with as many workers
+    leases it again (:func:`_lease`), so ``seq`` keeps counting across
+    leases and no reply of an earlier lease can match a later barrier.
+    """
+
+    __slots__ = ("workers", "claims", "seq", "version", "private", "ok")
+
+    def __init__(self, nworkers: int, fault_injector: FaultInjector | None) -> None:
+        ctx = multiprocessing.get_context("fork")
+        claims, claims_w = os.pipe()
+        os.set_blocking(claims, False)
+        #: (read, write) ends of the chunk-id claim queue
+        self.claims = (claims, claims_w)
+        self.seq = 0
+        #: the tile-kernel registry the workers inherited
+        self.version = _REGISTRY_VERSION
+        #: forked with a fault injector: never pooled (its shared counter
+        #: reaches a worker only at fork)
+        self.private = fault_injector is not None
+        #: the last attempt dispatched on this set succeeded
+        self.ok = True
+        self.workers: list[_Worker] = []
+        for wid in range(nworkers):
+            parent_conn, child_conn = ctx.Pipe(duplex=True)
+            proc = ctx.Process(
+                target=_worker_main,
+                args=(child_conn, wid, fault_injector, claims),
+                daemon=True,
+            )
+            proc.start()
+            child_conn.close()
+            self.workers.append(_Worker(proc, parent_conn, wid))
+
+    def reusable(self) -> bool:
+        """True when another lease may take this set over as it is."""
+        return (
+            not self.private
+            and self.ok
+            and self.version == _REGISTRY_VERSION
+            and all(wk.alive and wk.proc.is_alive() for wk in self.workers)
+            and not multiprocessing.connection.wait([self.claims[0]], 0)
+        )
+
+    def shutdown(self, *, terminate: bool = False) -> None:
+        """Stop the workers and close the claim queue.
+
+        Never raises: shutdown runs on error paths (dead workers, timed-out
+        attempts, ``close()`` after a failed ``run``) where a secondary
+        exception would mask the original failure.  With ``terminate``,
+        worker processes are killed outright so a hung worker cannot stall
+        the join.
+        """
+        for fd in self.claims:
+            try:
+                os.close(fd)
+            except OSError:  # pragma: no cover - already closed
+                pass
+        stop = pickle.dumps(("stop",))
+        for wk in self.workers:
+            if terminate or not wk.alive:
+                try:
+                    wk.proc.terminate()
+                except Exception:  # pragma: no cover - already-dead worker
+                    pass
+            else:
+                try:
+                    wk.conn.send_bytes(stop)
+                except Exception:
+                    pass
+        for wk in self.workers:
+            try:
+                wk.proc.join(timeout=1.0)
+                if wk.proc.is_alive():  # ignored the stop command: kill it
+                    wk.proc.terminate()
+                    wk.proc.join(timeout=1.0)
+                wk.proc.close()  # its sentinel pipe, even while a traceback holds the set
+            except Exception:  # pragma: no cover - pathological process state
+                pass
+            try:
+                wk.conn.close()
+            except Exception:  # pragma: no cover - double close
+                pass
+
+
+#: worker count -> (idle set, release time); at most one idle set per count
+_idle: dict[int, tuple[_WorkerSet, float]] = {}
+_idle_lock = threading.Lock()
+
+
+def _forget_idle_pool() -> None:
+    """In a forked child: the parent's idle workers are not ours to lease."""
+    global _idle_lock
+    _idle_lock = threading.Lock()
+    _idle.clear()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_idle_pool)
+
+
+def _lease(nworkers: int, fault_injector: FaultInjector | None) -> _WorkerSet:
+    """An idle set of *nworkers* workers if a fresh, clean one waits; else a new fork.
+
+    A set idle for more than half of :data:`_IDLE_EXIT_S` is about to exit
+    on its own and is shut down instead.
+    """
+    if fault_injector is None:
+        with _idle_lock:
+            entry = _idle.pop(nworkers, None)
+        if entry is not None:
+            ws, since = entry
+            if time.monotonic() - since <= _IDLE_EXIT_S / 2 and ws.reusable():
+                return ws
+            ws.shutdown(terminate=True)
+    return _WorkerSet(nworkers, fault_injector)
+
+
+def _park(ws: _WorkerSet) -> None:
+    """Make a clean, detached set the idle set of its worker count."""
+    with _idle_lock:
+        old = _idle.get(len(ws.workers))
+        _idle[len(ws.workers)] = (ws, time.monotonic())
+    if old is not None:  # keep the fresher set
+        old[0].shutdown()
+
+
+def shutdown_idle_pool() -> int:
+    """Stop every idle pooled worker now; returns how many were stopped.
+
+    Idle workers also exit on their own after :data:`_IDLE_EXIT_S`, and
+    daemonic ones at interpreter exit; this is for callers that must see
+    no child process or open pipe left, such as leak checks.
+    """
+    with _idle_lock:
+        sets = [ws for ws, _ in _idle.values()]
+        _idle.clear()
+    for ws in sets:
+        ws.shutdown()
+    return sum(len(ws.workers) for ws in sets)
+
+
 class ProcessBackend(_TileTimeline):
     """Run tile batches on persistent worker processes over shared planes.
 
@@ -693,11 +864,23 @@ class ProcessBackend(_TileTimeline):
     3. per iteration, pass a :class:`TaskBatch` whose ``spec`` lists one
        :class:`TileTask` per task; per-task return values come back in
        :attr:`ScheduleResult.returns`;
-    4. :meth:`close` when done (also a context manager).
+    4. :meth:`close` when done (also a context manager): it unlinks the
+       planes and returns the lease.
 
-    **Dispatch protocol.**  Each of the ``nworkers`` slots is one forked
+    **Leases.**  Each of the ``nworkers`` slots is one forked
     :class:`multiprocessing.Process` running :func:`_worker_main` behind a
-    duplex pipe; planes attach once at spawn.  Batches with a stable
+    duplex pipe.  The workers, their claim queue and the command ``seq``
+    counter form a worker set that outlives the backend: :meth:`bind_planes`
+    leases the idle set of as many workers when a clean one waits (else
+    forks one) and attaches it to the new planes, dropping every resident
+    of the previous lease; :meth:`close` detaches it and parks it idle
+    when it is clean — no ``fault_injector``, every worker alive, the last
+    attempt succeeded, the claim queue empty and the tile-kernel registry
+    unchanged since the fork — and kills it otherwise.  Idle workers exit
+    on their own after :data:`_IDLE_EXIT_S`; :func:`shutdown_idle_pool`
+    stops them at once.
+
+    **Dispatch protocol.**  Batches with a stable
     identity become *residents*: a non-dynamic spec batch is registered
     once (its :class:`TileTask` list pickled a single time, keyed by batch
     object identity), and a batch carrying a :class:`BandRule` registers
@@ -708,7 +891,8 @@ class ProcessBackend(_TileTimeline):
     dispatches against its base's registration: its selection also names
     the base index of each task.  ``seq`` is an epoch tag acting as the
     barrier generation: the collect loop discards replies from earlier
-    attempts, so rebuilt pools can never double-account a task.  Other
+    attempts, and earlier leases of the set, so rebuilt pools can never
+    double-account a task.  Other
     dynamic spec batches have no stable identity and ship oneshot
     commands carrying ``(position, TileTask)`` items.
 
@@ -746,8 +930,9 @@ class ProcessBackend(_TileTimeline):
     naming the unfinished tasks is raised (``allow_fallback=False``).  A
     dead worker's unreported rows count as missing.  The claim queue is
     empty after an attempt that succeeds (every worker stopped on an empty
-    queue), and a failed one always rebuilds the pool with a fresh queue,
-    so a stale chunk id never runs in a later batch.
+    queue), a failed one always rebuilds the pool, and a set is leased
+    only with an empty queue, so a stale chunk id never runs in a later
+    batch.
     Every recovery step is recorded in ``degradation``
     (a :class:`~repro.common.resilience.DegradationLog`) when one is
     supplied.
@@ -756,7 +941,8 @@ class ProcessBackend(_TileTimeline):
     :class:`repro.obs.metrics.MetricsRegistry`) to count commands and
     serialized bytes per dispatch mode (``easypap_dispatch_commands_total``,
     ``easypap_dispatch_bytes_total``, labelled ``mode=oneshot|resident|
-    register``), batches (``easypap_dispatch_batches_total``), and observe
+    register``, and ``attach``/``detach`` once per worker per lease),
+    batches (``easypap_dispatch_batches_total``), and observe
     the command-send-to-first-task delay
     (``easypap_dispatch_queue_wait_seconds``).
     """
@@ -812,13 +998,11 @@ class ProcessBackend(_TileTimeline):
                 "delay between command send and its first task starting",
                 buckets=(1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1, 1.0),
             )
-        self._workers: list[_Worker] | None = None
+        #: the leased worker set, between bind_planes and close
+        self._set: _WorkerSet | None = None
         self._shm: list = []
         self._planes: list[np.ndarray] = []
         self._plane_specs: list[tuple[str, tuple, str]] = []
-        self._seq = 0
-        #: (read, write) ends of the chunk-id claim queue, made per pool
-        self._claims: tuple[int, int] | None = None
         self._next_bid = 0
         #: bid -> registration payload, re-sent to every freshly spawned worker
         self._residents: dict[int, tuple] = {}
@@ -834,6 +1018,11 @@ class ProcessBackend(_TileTimeline):
         #: means every batch degrades to the thread path.
         self.uses_processes = self.available()
 
+    @property
+    def worker_pids(self) -> tuple[int, ...]:
+        """Pids of the leased workers (empty before bind_planes and after close)."""
+        return tuple(wk.proc.pid for wk in self._set.workers) if self._set else ()
+
     @staticmethod
     def available() -> bool:
         """True when fork + shared memory exist on this host."""
@@ -846,7 +1035,7 @@ class ProcessBackend(_TileTimeline):
     # -- plane management -------------------------------------------------------
 
     def bind_planes(self, *arrays: np.ndarray) -> list[np.ndarray]:
-        """Copy *arrays* into shared memory and (re)start the worker pool.
+        """Copy *arrays* into shared memory and lease workers attached to them.
 
         Returns shm-backed arrays of identical shape/dtype/contents; the
         caller must use these in place of the originals so parent-side
@@ -880,31 +1069,19 @@ class ProcessBackend(_TileTimeline):
             self._m_bytes.inc(len(buf), mode=mode)
 
     def _start_pool(self) -> None:
-        """(Re)spawn the persistent workers attached to the current planes.
+        """Lease a worker set and attach it to the current planes.
 
-        Every live resident registration is replayed to the fresh workers
-        before any run command can reach them — the crash-recovery
-        guarantee that lets resident batches survive pool rebuilds.
+        Every live resident registration is replayed to the set before any
+        run command can reach it — the crash-recovery guarantee that lets
+        resident batches survive pool rebuilds.
         """
-        ctx = multiprocessing.get_context("fork")
-        claims, claims_w = os.pipe()
-        os.set_blocking(claims, False)
-        self._claims = (claims, claims_w)
-        workers: list[_Worker] = []
-        for wid in range(self.nworkers):
-            parent_conn, child_conn = ctx.Pipe(duplex=True)
-            proc = ctx.Process(
-                target=_worker_main,
-                args=(child_conn, wid, self._plane_specs, self.fault_injector, claims),
-                daemon=True,
-            )
-            proc.start()
-            child_conn.close()
-            workers.append(_Worker(proc, parent_conn, wid))
-        self._workers = workers
+        self._set = _lease(self.nworkers, self.fault_injector)
+        attach = pickle.dumps(("attach", self._plane_specs))
+        for wk in self._set.workers:
+            self._post(wk, attach, mode="attach")
         for bid, payload in self._residents.items():
             buf = pickle.dumps(("register", bid, payload))
-            for wk in workers:
+            for wk in self._set.workers:
                 self._post(wk, buf, mode="register")
 
     def _register_resident(self, payload: tuple) -> int:
@@ -913,7 +1090,7 @@ class ProcessBackend(_TileTimeline):
         self._next_bid += 1
         self._residents[bid] = payload
         buf = pickle.dumps(("register", bid, payload))
-        for wk in self._workers or ():
+        for wk in self._set.workers if self._set else ():
             if wk.alive:
                 try:
                     self._post(wk, buf, mode="register")
@@ -951,56 +1128,36 @@ class ProcessBackend(_TileTimeline):
 
     # -- lifecycle --------------------------------------------------------------
 
-    def _teardown_pool(self, *, terminate: bool = False) -> None:
-        """Shut the workers down without touching the shared planes.
-
-        Never raises: teardown runs on error paths (dead workers, timed-out
-        attempts, ``close()`` after a failed ``run``) where a secondary
-        exception would mask the original failure.  With ``terminate``,
-        worker processes are killed outright so a hung worker cannot stall
-        the join.
-        """
-        workers, self._workers = self._workers, None
-        claims, self._claims = self._claims, None
-        for fd in claims or ():
-            try:
-                os.close(fd)
-            except OSError:  # pragma: no cover - already closed
-                pass
-        if not workers:
-            return
-        stop = pickle.dumps(("stop",))
-        for wk in workers:
-            if terminate or not wk.alive:
-                try:
-                    wk.proc.terminate()
-                except Exception:  # pragma: no cover - already-dead worker
-                    pass
-            else:
-                try:
-                    wk.conn.send_bytes(stop)
-                except Exception:
-                    pass
-        for wk in workers:
-            try:
-                wk.proc.join(timeout=1.0)
-                if wk.proc.is_alive():  # ignored the stop command: kill it
-                    wk.proc.terminate()
-                    wk.proc.join(timeout=1.0)
-            except Exception:  # pragma: no cover - pathological process state
-                pass
-            try:
-                wk.conn.close()
-            except Exception:  # pragma: no cover - double close
-                pass
+    def _teardown_pool(self) -> None:
+        """Kill the leased workers without touching the shared planes."""
+        ws, self._set = self._set, None
+        if ws is not None:
+            ws.shutdown(terminate=True)
 
     def _rebuild_pool(self) -> None:
         """Replace a broken/hung pool; workers re-attach the live planes."""
-        self._teardown_pool(terminate=True)
+        self._teardown_pool()
         self._start_pool()
 
+    def _return_lease(self) -> None:
+        """Detach a clean leased set and return it to the idle pool."""
+        ws, self._set = self._set, None
+        if ws is None:
+            return
+        if ws.reusable():
+            detach = pickle.dumps(("detach",))
+            try:
+                for wk in ws.workers:
+                    self._post(wk, detach, mode="detach")
+            except OSError:  # a worker died since the check
+                pass
+            else:
+                _park(ws)
+                return
+        ws.shutdown(terminate=True)
+
     def _release_pool_and_planes(self) -> None:
-        self._teardown_pool(terminate=True)
+        self._return_lease()
         # drop our own views before closing, else close() raises BufferError
         self._planes = []
         self._plane_specs = []
@@ -1016,11 +1173,13 @@ class ProcessBackend(_TileTimeline):
         self._shm = []
 
     def close(self) -> None:
-        """Shut the pool down and release the shared planes.
+        """Return the lease and release the shared planes.
 
-        Idempotent and exception-safe: callable any number of times, after
-        a failed ``run``, and with a broken or hung pool — the shared
-        memory segments are always unlinked.  Callers still holding
+        A clean worker set goes back to the idle pool for the next backend
+        with as many workers; any other is killed.  Idempotent and
+        exception-safe: callable any number of times, after a failed
+        ``run``, and with a broken or hung pool — the shared memory
+        segments are always unlinked.  Callers still holding
         shm-backed arrays from :meth:`bind_planes` must replace them with
         private copies *before* closing.
         """
@@ -1112,19 +1271,20 @@ class ProcessBackend(_TileTimeline):
         """
         bid = self._resident_for(batch)
         mode = "oneshot" if bid is None else "resident"
+        ws = self._set
 
         def command(payload, plan) -> bytes:
-            return pickle.dumps(("run", self._seq, epoch, bid, payload, plan))
+            return pickle.dumps(("run", ws.seq, epoch, bid, payload, plan))
 
         if self.policy in ("static", "cyclic"):
             # fixed assignment: each worker slot gets its chunk list whole
             per_worker: list[list[int]] = [[] for _ in range(self.nworkers)]
             for k, ch in enumerate(chunks):
                 per_worker[k % self.nworkers].extend(i for i in ch if i in missing)
-            self._seq += 1
+            ws.seq += 1
             failure: Exception | None = None
             sends = []
-            for wk, idxs in zip(self._workers, per_worker):
+            for wk, idxs in zip(ws.workers, per_worker):
                 if not idxs:
                     continue
                 if not wk.alive:
@@ -1138,12 +1298,12 @@ class ProcessBackend(_TileTimeline):
         todo = [sel for ch in chunks if (sel := [i for i in ch if i in missing])]
         for lo in range(0, len(todo), _CLAIMS_PER_ROUND):
             part = todo[lo : lo + _CLAIMS_PER_ROUND]
-            live = [wk for wk in self._workers if wk.alive][: len(part)]
+            live = [wk for wk in ws.workers if wk.alive][: len(part)]
             if not live:
                 return BrokenProcessPool("no live workers left to claim chunks")
             # each commanded worker starts on one chunk; the rest are claimed
-            os.write(self._claims[1], _CLAIM_IDS[4 * len(live) : 4 * len(part)])
-            self._seq += 1
+            os.write(ws.claims[1], _CLAIM_IDS[4 * len(live) : 4 * len(part)])
+            ws.seq += 1
             buf = command(
                 self._payload(batch, bid, [i for sel in part for i in sel]),
                 (tuple(accumulate(map(len, part), initial=0)), tuple(wk.wid for wk in live)),
@@ -1159,14 +1319,14 @@ class ProcessBackend(_TileTimeline):
         self, sends, mode: str, epoch: float, deadline: Deadline, spans, returns, missing
     ) -> Exception | None:
         """Post each ``(worker, command)`` of *sends*, then collect one reply
-        per worker under the epoch-tagged barrier (tag ``self._seq``).
+        per worker under the epoch-tagged barrier (tag: the leased set's ``seq``).
 
         A dead worker fails only its own command — replies already in its
         pipe are drained, and live workers keep completing, which is what
         makes re-submitting *only* the missing spans possible.  Returns the
         first failure seen (or None).
         """
-        seq = self._seq
+        seq = self._set.seq
         failure: Exception | None = None
         #: worker -> send offset from epoch, until its reply arrives
         waiting: dict[_Worker, float] = {}
@@ -1273,7 +1433,7 @@ class ProcessBackend(_TileTimeline):
             raise ConfigurationError("backend is closed")
         if not self.uses_processes or batch.spec is None:
             return self._run_threads(batch, iteration, kind)
-        if self._workers is None:
+        if self._set is None:
             raise SchedulingError("bind_planes() must be called before running tile batches")
         n = len(batch)
         chunks = _plan_for(batch, self.nworkers, self.policy, self.chunk)
@@ -1286,7 +1446,11 @@ class ProcessBackend(_TileTimeline):
         attempt = 1
         while missing:
             deadline = Deadline(self.task_timeout)
+            ws = self._set
+            # an attempt that ends any other way leaves the set unfit for a later lease
+            ws.ok = False
             failure = self._dispatch(batch, chunks, missing, epoch, deadline, spans, returns)
+            ws.ok = failure is None and not missing
             if not missing:
                 break
             if failure is None:
@@ -1296,7 +1460,7 @@ class ProcessBackend(_TileTimeline):
                 raise SchedulingError(self._describe_missing(batch, missing, chunks))
             if attempt >= self.retry.max_attempts:
                 # leave no half-dead worker writing into the shared planes
-                self._teardown_pool(terminate=True)
+                self._teardown_pool()
                 if not self.allow_fallback:
                     self._log_degradation(
                         "give-up",

@@ -140,6 +140,9 @@ class TestResidentDispatch:
             assert commands.value(mode="register") == 2.0
             assert commands.value(mode="resident") > 0
             assert commands.value(mode="oneshot") == 0
+        # the lease's attach and detach, one per worker, under their own modes
+        assert commands.value(mode="attach") == 2.0
+        assert commands.value(mode="detach") == 2.0
 
     @needs_processes
     def test_resident_commands_are_smaller_than_oneshot(self):
@@ -373,10 +376,14 @@ class TestResidentSelections:
 @needs_processes
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs Linux /proc")
 def test_rebuild_and_close_release_fds_children_and_segments():
+    """close() unlinks the planes and leaves no worker set leased: the set
+    goes idle, and once the idle pool is shut down no child process or fd
+    of the backend remains."""
     g, scratch = make_planes()
     batch = spec_batch(list(TileGrid(12, 12, 4)))
     with ProcessBackend(1) as warm:  # starts the shared-memory resource tracker
         warm.bind_planes(g.data, scratch)
+    executor.shutdown_idle_pool()
     before = len(os.listdir("/proc/self/fd"))
     be = ProcessBackend(2, "dynamic")
     be.bind_planes(g.data, scratch)
@@ -385,8 +392,9 @@ def test_rebuild_and_close_release_fds_children_and_segments():
     be._rebuild_pool()
     be.run(batch)
     be.close()
-    assert len(os.listdir("/proc/self/fd")) == before
-    assert multiprocessing.active_children() == []
     for name in names:
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=name)
+    assert executor.shutdown_idle_pool() == 2  # the rebuilt set, returned idle
+    assert len(os.listdir("/proc/self/fd")) == before
+    assert multiprocessing.active_children() == []

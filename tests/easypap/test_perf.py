@@ -6,6 +6,7 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.common.job import Job, JobProgress
+from repro.easypap import executor
 from repro.easypap.executor import ProcessBackend
 from repro.easypap.perf import PerfCampaign, speedup_series
 
@@ -118,6 +119,9 @@ class TestPerfCampaign:
             grid={"nworkers": [1, 2]},
         )
         assert len(campaign.run()) == 2
+        # each job's close() returned its lease: every worker left is idle
+        # in the pool, and shutting the pool down leaves no child behind
+        assert executor.shutdown_idle_pool() == 1 + 2
         assert multiprocessing.active_children() == []
 
 
