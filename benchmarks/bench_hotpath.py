@@ -16,7 +16,10 @@ re-measures and compares *ratios normalised to the vec variant measured in
 the same process* against the committed baseline, so the gate tracks
 algorithmic regressions rather than machine speed; a variant whose ratio
 grows by more than ``--tolerance`` (default 30%) fails the run, and so
-does an in-process tiled variant above ``TILED_CEIL`` times vec.
+does an in-process tiled variant above ``TILED_CEIL`` times vec.  It also
+fails when ``pfrontier`` segments run as parallel regions send
+``PF_SEG_COMMANDS_CEIL`` or more worker commands per grid iteration, or
+are not faster per iteration than the same runs stepped call by call.
 
 Under pytest the module only runs the (fast, untimed) bit-identity check.
 """
@@ -43,7 +46,7 @@ PF_SIZE = 512
 PF_STEPS = 12
 PF_WORKERS = (1, 2, 4)
 #: temporal-blocking depth of the measured pfrontier configuration: each
-#: dispatch advances k fused iterations per resident band command
+#: stepper() call is a one-step region advancing k fused iterations
 PF_K = 4
 #: frontier-aware vs full-grid process stepping on the concentrated
 #: scenario must stay at least this fast (algorithmic, core-count-free)
@@ -52,9 +55,19 @@ PF_FULL_FLOOR = 2.0
 #: frontier yardstick — the persistent-worker + temporal-blocking runtime
 #: makes process dispatch nearly free, so this floor is core-count-free
 PF_SOLO_CEIL = 1.3
-#: the shipped pfrontier configuration: resident band batches advancing
-#: PF_K fused iterations per dispatch on the persistent-worker runtime
+#: the shipped pfrontier configuration: one band per worker advancing
+#: PF_K fused iterations per step on the persistent-worker runtime
 PF_OPTS = {"policy": "static", "tile_size": 32, "k": PF_K}
+
+#: segment section: pfrontier on PF_SEG_WORKERS processes to the fixpoint of
+#: small grids (the sizes the repo benchmark's fixpoint-procs workload uses),
+#: as one region per run (run_to_fixpoint) and as one region per stepper() call
+PF_SEG_SIZES = (12, 14, 16, 18, 20, 22, 24, 26)
+PF_SEG_KS = (1, 4)
+PF_SEG_WORKERS = 2
+#: a segment sends one command per worker plus the lease's attach/detach,
+#: so over a whole run it must stay under this many per grid iteration
+PF_SEG_COMMANDS_CEIL = 0.1
 
 #: the in-process tiled variants run merged-rectangle gathers, so each must
 #: stay within this factor of vec per iteration on the busy grid
@@ -292,6 +305,112 @@ def measure_pfrontier(steps: int = PF_STEPS, rounds: int = 3) -> dict:
     }
 
 
+def _pf_segment_grids():
+    """Every PF_SEG_SIZES grid twice (a centre pile, random 0-7 grains) with its oracle."""
+    from repro.sandpile.model import center_pile, random_uniform
+    from repro.sandpile.theory import stabilize
+
+    grids = [center_pile(n, n, n * n // 2) for n in PF_SEG_SIZES]
+    grids += [random_uniform(n, n, max_grains=7, seed=n) for n in PF_SEG_SIZES]
+    return [(g, stabilize(g.copy()).interior.copy()) for g in grids]
+
+
+def _pf_segment_pass(grids, k: int, segments: bool) -> tuple[float, int, float]:
+    """``(seconds, grid iterations, worker commands)`` to every grid's fixpoint.
+
+    ``segments`` runs each grid through ``run_to_fixpoint`` (one parallel
+    region per run); otherwise each grid is stepped through ``stepper()``
+    calls (one region per call).  Commands come from the backend's
+    ``metrics=`` registry, every mode counted (lease attach/detach too).
+    """
+    from repro.obs.metrics import MetricsRegistry
+    from repro.sandpile.simulate import make_stepper, run_to_fixpoint
+
+    reg = MetricsRegistry()
+    opts = {"tile_size": 8, "nworkers": PF_SEG_WORKERS, "k": k, "metrics": reg}
+    seconds, iterations = 0.0, 0
+    for grid, oracle in grids:
+        g = grid.copy()
+        t0 = time.perf_counter()
+        if segments:
+            iterations += run_to_fixpoint(g, "sandpile", "pfrontier", **opts).iterations
+        else:
+            stepper = make_stepper(g, "sandpile", "pfrontier", **opts)
+            try:
+                while stepper():
+                    iterations += k
+            finally:
+                stepper.close()
+        seconds += time.perf_counter() - t0
+        if not np.array_equal(g.interior, oracle):
+            raise SystemExit(f"pfrontier k={k} fixpoint differs from the oracle")
+    commands = sum(row["value"] for row in reg.get("easypap_dispatch_commands_total").samples())
+    return seconds, iterations, commands
+
+
+def measure_pf_segments(rounds: int = 5) -> dict:
+    """Per grid iteration, segments vs stepper() calls, paired rounds.
+
+    Each round times the segment path and the call path back to back over
+    the same grids; each side keeps its fastest round.
+    """
+    grids = _pf_segment_grids()
+    out: dict = {
+        "cores": os.cpu_count() or 1,
+        "nworkers": PF_SEG_WORKERS,
+        "tile_size": 8,
+        "sizes": list(PF_SEG_SIZES),
+        "grids": "per size: a centre pile of n*n/2 grains, and 0-7 random grains per cell",
+    }
+    for k in PF_SEG_KS:
+        seg, call = [], []
+        for _ in range(rounds):
+            seg.append(_pf_segment_pass(grids, k, True))
+            call.append(_pf_segment_pass(grids, k, False))
+        s, c = min(seg), min(call)
+        if s[1] != c[1]:
+            raise SystemExit(f"pfrontier k={k}: {s[1]} iterations by segments, {c[1]} by calls")
+        out[f"k{k}"] = {
+            "iterations": s[1],
+            "segment_seconds_per_iteration": s[0] / s[1],
+            "call_seconds_per_iteration": c[0] / c[1],
+            "segment_speedup": c[0] / s[0],
+            "segment_commands_per_iteration": s[2] / s[1],
+            "call_commands_per_iteration": c[2] / c[1],
+        }
+    return out
+
+
+def segment_failures(section: dict) -> list[str]:
+    """The segment gate: few commands per iteration, faster than calls."""
+    failures = []
+    for k in PF_SEG_KS:
+        row = section[f"k{k}"]
+        if row["segment_commands_per_iteration"] >= PF_SEG_COMMANDS_CEIL:
+            failures.append(
+                f"pfrontier k={k} segments send {row['segment_commands_per_iteration']:.3f} "
+                f"commands per iteration (must be < {PF_SEG_COMMANDS_CEIL})"
+            )
+        if row["segment_seconds_per_iteration"] >= row["call_seconds_per_iteration"]:
+            failures.append(
+                f"pfrontier k={k} segments are not faster per iteration than stepper() "
+                f"calls ({row['segment_speedup']:.2f}x)"
+            )
+    return failures
+
+
+def _print_segments(section: dict) -> None:
+    for k in PF_SEG_KS:
+        row = section[f"k{k}"]
+        print(
+            f"pfrontier k={k} segments: {row['segment_seconds_per_iteration'] * 1e6:.0f} us/iter "
+            f"vs {row['call_seconds_per_iteration'] * 1e6:.0f} us/iter by calls "
+            f"({row['segment_speedup']:.2f}x), "
+            f"{row['segment_commands_per_iteration']:.3f} commands/iter "
+            f"(calls {row['call_commands_per_iteration']:.2f})"
+        )
+
+
 def measure_tracer_overhead(rounds: int = 5) -> float:
     """Disabled-tracer overhead on the fig1a frontier hot path.
 
@@ -353,6 +472,7 @@ def collect() -> dict:
     per_iter = measure_per_iteration()
     fixpoint = measure_run_to_fixpoint()
     pfrontier = measure_pfrontier()
+    segments = measure_pf_segments()
     cores = os.cpu_count() or 1
     report = {
         "meta": {
@@ -367,6 +487,7 @@ def collect() -> dict:
         "run_to_fixpoint": {"cores": cores, "scenarios": fixpoint},
         "per_iteration": {"cores": cores, "variants": per_iter},
         "pfrontier": pfrontier,
+        "pfrontier_segments": segments,
         "ratios": {
             "per_iteration": {n: row["ratio_to_vec"] for n, row in per_iter.items()},
             **{name: _ratios(rows, "seconds") for name, rows in fixpoint.items()},
@@ -442,6 +563,10 @@ def cmd_write() -> int:
             f"iteration (dispatch overhead ceiling is {PF_SOLO_CEIL}x)"
         )
         return 1
+    seg_failures = segment_failures(report["pfrontier_segments"])
+    if seg_failures:
+        print(f"FAIL: {seg_failures[0]}")
+        return 1
     BASELINE.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"wrote {BASELINE}")
     print(f"fig1a frontier speedup vs per-tile lazy: {speedup:.1f}x")
@@ -455,6 +580,7 @@ def cmd_write() -> int:
     for name, row in report["pfrontier"]["busy"].items():
         if "flagged" in row:
             print(f"flagged {name}: {row['flagged']}")
+    _print_segments(report["pfrontier_segments"])
     return 0
 
 
@@ -465,7 +591,8 @@ def cmd_check(tolerance: float) -> int:
     the frontier's >= FIG1A_FLOOR x fig1a speedup over per-tile lazy, the
     parallel frontier's >= PF_FULL_FLOOR x win over full-grid process
     stepping (and, with >= 4 real cores, pfrontier@4 beating the
-    single-worker frontier) — all measured in-process, machine-free."""
+    single-worker frontier), and the segment gate (:func:`segment_failures`)
+    — all measured in-process, machine-free."""
     if not BASELINE.exists():
         print(f"no baseline at {BASELINE}; run with --write first")
         return 1
@@ -544,6 +671,16 @@ def cmd_check(tolerance: float) -> int:
         print(
             f"skip pfrontier worker-scaling floor: only {cores} core(s) "
             f"(@4 ratio {pf4:.2f}x flagged oversubscribed in the record, not gated)"
+        )
+
+    segments = measure_pf_segments()
+    seg_failures = segment_failures(segments)
+    failures += seg_failures
+    if not seg_failures:
+        _print_segments(segments)
+        print(
+            f"ok pfrontier segments: < {PF_SEG_COMMANDS_CEIL} commands per iteration and "
+            "faster per iteration than stepper() calls"
         )
 
     overhead = measure_tracer_overhead()

@@ -153,11 +153,11 @@ def run_easypap(sc: Scenario, ctx: _Ctx) -> tuple[list[str], dict]:
             violations.append("honest-work")
 
         if sc.kind == "worker-kill":
-            # fused temporal blocking must survive the same kill: after the
-            # pool rebuild the resident band registration is replayed to the
-            # fresh workers, and the Abelian fixpoint (grid + sink) matches
-            # the unfused reference bit for bit.  Iteration counts are NOT
-            # compared — a k-fused run takes ~1/k stepper calls by design.
+            # fused temporal blocking must survive the same kill: the
+            # rebuilt set re-runs the step the dead worker left, and the
+            # Abelian fixpoint (grid + sink) matches the unfused reference
+            # bit for bit.  Iteration counts are NOT compared — a k-fused
+            # run takes ~1/k stepper calls by design.
             log_k = DegradationLog()
             injector_k = FaultInjector(kill_on_tasks={0}, max_fires=1)
             with SandpileJob(
@@ -182,6 +182,34 @@ def run_easypap(sc: Scenario, ctx: _Ctx) -> tuple[list[str], dict]:
                 or result_k["grid"].tobytes() != ref[2]
             ):
                 violations.append("bit-identical")
+        return violations, detail
+
+    if sc.kind == "region-kill":
+        # run_to_fixpoint runs the whole job as one segment: worker 1 dies
+        # in step 5 (task 2 * 5 + 1) and the region resumes from step 5
+        from repro.sandpile.simulate import run_to_fixpoint
+
+        log = DegradationLog()
+        injector = FaultInjector(kill_on_tasks={2 * 5 + 1}, max_fires=1)
+        grid = _easypap_grid(sc.seed, n)
+        run = run_to_fixpoint(
+            grid, "sandpile", "pfrontier", backend="process", nworkers=2, tile_size=tile,
+            retry=_RETRY, fault_injector=injector, degradation=log,
+        )
+        result = {"iterations": run.iterations, "grid": grid.interior,
+                  "sink_absorbed": grid.sink_absorbed}
+        detail["fires"] = injector.fires
+        detail["degradations"] = len(log)
+        if injector.fires < 1:
+            violations.append("fault-fired")
+        if injector.fires > injector.max_fires:
+            violations.append("bounded-retries")
+        if not log.by_action("pool-rebuild"):
+            violations.append("degradation-recorded")
+        if _easypap_fingerprint(result) != ref:
+            violations.append("bit-identical")
+        if result["iterations"] != baseline["iterations"]:
+            violations.append("honest-work")
         return violations, detail
 
     if sc.kind == "deadline":

@@ -20,6 +20,10 @@ free-form workload parameters.  The fault kinds:
 ``kill-resume``
     The run is interrupted mid-flight and resumed from its latest
     checkpoint; the resumed result must be bit-identical.
+``region-kill``
+    A worker dies at a later step of a segment that ``run_to_fixpoint``
+    runs as one parallel region; the run must resume on a rebuilt set
+    from the last step every worker published.
 
 The easypap process backend leases its workers from an idle pool that
 outlives each job, so five more kinds check what one lease may hand the
@@ -60,7 +64,10 @@ POOL_KINDS = (
     "pool-kill", "pool-failed-job", "pool-isolation", "pool-late-kernel", "pool-concurrent"
 )
 KINDS = frozenset(
-    {"inject-raise", "worker-kill", "deadline", "corrupt-checkpoint", "kill-resume", *POOL_KINDS}
+    {
+        "inject-raise", "worker-kill", "region-kill", "deadline", "corrupt-checkpoint",
+        "kill-resume", *POOL_KINDS,
+    }
 )
 SUBSTRATES = ("easypap", "mapreduce", "simmpi", "wrench")
 
@@ -97,6 +104,7 @@ class Scenario:
 _DEFAULT_CELLS: tuple[tuple[str, str, bool], ...] = (
     ("easypap", "inject-raise", True),
     ("easypap", "worker-kill", True),
+    ("easypap", "region-kill", True),
     ("easypap", "deadline", False),
     ("easypap", "corrupt-checkpoint", False),
     ("easypap", "kill-resume", False),

@@ -89,7 +89,7 @@ def sandpile_main(argv: list[str] | None = None) -> int:
         default=1,
         metavar="K",
         help="pfrontier: temporal-blocking depth — fuse K grid iterations into "
-        "one resident band dispatch per worker round-trip (default 1)",
+        "one step, one band per worker between barriers (default 1)",
     )
     p.add_argument(
         "--max-retries",

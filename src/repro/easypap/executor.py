@@ -28,8 +28,12 @@ assignment's needs:
   :func:`~repro.easypap.schedule.simulate_schedule`, and every policy
   sends at most one command per worker per batch: static/cyclic chunks
   are pre-assigned, dynamic/guided chunks are claimed by the workers from
-  a shared queue.  When ``fork`` or shared memory is unavailable it
-  degrades gracefully to a :class:`ThreadBackend`.
+  a shared queue.  A *parallel region* (:meth:`ProcessBackend.run_region`)
+  goes further: one command per worker runs a whole loop of iterations,
+  the workers meeting at a barrier the worker set owns and publishing
+  per-iteration state to shared slots (:class:`RegionContext`).  When
+  ``fork`` or shared memory is unavailable it degrades gracefully to a
+  :class:`ThreadBackend`.
 
 All backends return the executed :class:`~repro.easypap.schedule.TaskSpan`
 list and, given a :class:`~repro.obs.tracer.Tracer`, record one span per
@@ -38,6 +42,7 @@ executed tile (:func:`add_tile_span`).
 
 from __future__ import annotations
 
+import mmap
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -67,13 +72,12 @@ from repro.easypap.schedule import (
     index_spans,
     simulate_schedule,
 )
-from repro.easypap.tiling import Tile, band_tiles
+from repro.easypap.tiling import Tile
 from repro.obs.tracer import Tracer
 
 __all__ = [
     "TaskBatch",
     "TileTask",
-    "BandRule",
     "register_tile_kernel",
     "get_tile_kernel",
     "registered_tile_kernels",
@@ -83,6 +87,7 @@ __all__ = [
     "SimulatedBackend",
     "ThreadBackend",
     "ProcessBackend",
+    "RegionContext",
     "shutdown_idle_pool",
     "make_backend",
     "TILE_PID",
@@ -106,32 +111,6 @@ class TileTask:
     dst: int
     tile: Tile
     arg: object = None
-
-
-@dataclass(frozen=True)
-class BandRule:
-    """Recipe for a band-decomposed batch the dispatch protocol can replay.
-
-    A batch carrying a :class:`BandRule` promises that its tasks are
-    exactly ``band_tiles(window, nbands)`` applied through *kernel* with
-    fused step count *k* — so a worker that has the rule registered as a
-    resident can rebuild any task from the command tuple alone and the
-    parent ships only ``(window, nbands, selection-spans)`` per iteration.
-    """
-
-    kernel: str
-    src: int
-    dst: int
-    k: int
-    window: tuple[int, int, int, int]
-    nbands: int
-
-    def tasks(self) -> list[TileTask]:
-        """Materialise the tile tasks this rule denotes (worker side)."""
-        return [
-            TileTask(self.kernel, self.src, self.dst, t, arg=self.k)
-            for t in band_tiles(self.window, self.nbands)
-        ]
 
 
 #: name -> fn(planes, task) for kernels executable from a TileTask spec.
@@ -230,11 +209,6 @@ class TaskBatch:
         through the uncached :func:`~repro.easypap.schedule.dynamic_chunk_plan`
         fast path instead of :func:`~repro.easypap.schedule.chunk_plan_cached`,
         so a moving frontier cannot thrash the static-plan cache.
-    bands:
-        Optional :class:`BandRule` asserting the batch's tasks are a band
-        decomposition replayable from ``(window, nbands)`` alone.  The
-        process backend then dispatches the batch through a resident band
-        rule — per-iteration commands carry no per-tile data at all.
 
     A batch built by :meth:`subset` also records the stable batch it
     selects from (:attr:`base`) and the base index of each of its tasks
@@ -249,7 +223,6 @@ class TaskBatch:
         costs: Sequence[float] | None = None,
         spec: Sequence[TileTask] | None = None,
         dynamic: bool = False,
-        bands: BandRule | None = None,
     ) -> None:
         self.tasks = list(tasks)
         if tiles is not None and len(tiles) != len(self.tasks):
@@ -258,13 +231,10 @@ class TaskBatch:
             raise ConfigurationError("costs and tasks must have equal length")
         if spec is not None and len(spec) != len(self.tasks):
             raise ConfigurationError("spec and tasks must have equal length")
-        if bands is not None and bands.nbands != len(self.tasks):
-            raise ConfigurationError("bands.nbands and tasks must have equal length")
         self.tiles = list(tiles) if tiles is not None else None
         self.costs = [float(c) for c in costs] if costs is not None else None
         self.spec = list(spec) if spec is not None else None
         self.dynamic = bool(dynamic)
-        self.bands = bands
         self.base: TaskBatch | None = None
         self.indices: list[int] | None = None
 
@@ -360,17 +330,27 @@ class _TileTimeline:
     trace: Tracer | None = None
     _timeline_end = 0.0
 
-    def _record(
-        self, spans: Sequence[TaskSpan], batch: TaskBatch, iteration: int, kind: str
+    def record(
+        self,
+        spans: Sequence[TaskSpan],
+        tiles: Sequence[Tile] | None,
+        iteration: int,
+        kind: str = "compute",
     ) -> None:
+        """Record one batch's *spans* after the previous batch (no-op untraced).
+
+        Span *i* names task ``spans[i].task``, whose tile is
+        ``tiles[spans[i].task]`` (coordinates -1 when *tiles* is None).
+        """
         if not self.trace:
             return
         t0 = self._timeline_end
         for s in spans:
-            ty, tx = batch.tile_coords(s.task)
+            t = tiles[s.task] if tiles is not None else None
             add_tile_span(
                 self.trace, iteration=iteration, task=s.task, worker=s.worker,
-                start=t0 + s.start, end=t0 + s.end, kind=kind, tile_ty=ty, tile_tx=tx,
+                start=t0 + s.start, end=t0 + s.end, kind=kind,
+                tile_ty=t.ty if t is not None else -1, tile_tx=t.tx if t is not None else -1,
             )
         self._timeline_end = t0 + max((s.end for s in spans), default=0.0)
 
@@ -400,7 +380,7 @@ class SequentialBackend(_TileTimeline):
             spans.append(TaskSpan(i, 0, t, t + cost))
             t += cost
         result = ScheduleResult(policy="sequential", nworkers=1, chunk=1, spans=spans)
-        self._record(spans, batch, iteration, kind)
+        self.record(spans, batch.tiles, iteration, kind)
         return result
 
 
@@ -457,7 +437,7 @@ class SimulatedBackend(_TileTimeline):
                 for r in returned
             ]
         result = simulate_schedule(costs, self.nworkers, self.policy, chunk=self.chunk, plan=plan)
-        self._record(result.spans, batch, iteration, kind)
+        self.record(result.spans, batch.tiles, iteration, kind)
         return result
 
 
@@ -508,7 +488,7 @@ class ThreadBackend(_TileTimeline):
                 f"tasks {unfinished[:20]}"
             )
         result = ScheduleResult(policy="threads", nworkers=self.nworkers, chunk=1, spans=done)
-        self._record(done, batch, iteration, kind)
+        self.record(done, batch.tiles, iteration, kind)
         return result
 
 
@@ -522,7 +502,7 @@ _IDLE_EXIT_S = 2.0
 def _resident_items(resident: dict, bid: int | None, payload) -> list[tuple[int, TileTask]]:
     """The ``(task position, TileTask)`` items of one run command.
 
-    Three payload shapes, by dispatch mode:
+    Two payload shapes, by dispatch mode:
 
     * oneshot (``bid is None``): an explicit ``[(position, TileTask), ...]``
       list, pickled whole — the fallback for batches with no stable
@@ -530,22 +510,14 @@ def _resident_items(resident: dict, bid: int | None, payload) -> list[tuple[int,
     * spec resident: ``(position spans, base spans)`` into the registered
       spec list; base spans are None when the submitted batch is the
       registered one, else they name the base index of each position of a
-      :meth:`TaskBatch.subset` (both ascending, so they pair up in order);
-    * band resident: ``(window, nbands, position spans)`` — the tasks are
-      rebuilt from :func:`~repro.easypap.tiling.band_tiles`, so the command
-      carries no per-tile data.
+      :meth:`TaskBatch.subset` (both ascending, so they pair up in order).
     """
     if bid is None:
         return payload
-    kind, body = resident[bid]
-    if kind == "specs":
-        positions, bases = payload
-        pos = expand_spans(positions)
-        return list(zip(pos, [body[b] for b in (pos if bases is None else expand_spans(bases))]))
-    kernel, src, dst, k = body  # "bands"
-    window, nbands, positions = payload
-    tiles = band_tiles(window, nbands)
-    return [(i, TileTask(kernel, src, dst, tiles[i], arg=k)) for i in expand_spans(positions)]
+    specs = resident[bid]
+    positions, bases = payload
+    pos = expand_spans(positions)
+    return list(zip(pos, [specs[b] for b in (pos if bases is None else expand_spans(bases))]))
 
 
 #: chunk ids are written to the claim queue as 4-byte little-endian ints,
@@ -595,11 +567,136 @@ def _attach(plane_specs: list[tuple[str, tuple, str]]) -> tuple[list, list[np.nd
     return segments, arrays
 
 
+#: int64 words of one region slot: what one worker publishes for one step
+_SLOT_WORDS = 16
+#: a worker waiting at a region barrier polls its semaphore this many times
+#: before it blocks on it: a short spin catches a peer that is about to
+#: arrive, and blocking frees the core when the host is oversubscribed
+_BARRIER_SPINS = 200
+
+
+class _RegionShared:
+    """The barrier, slots and abort word a worker set's regions share.
+
+    Made with the set, before its workers fork, so every worker inherits
+    it: one fork-context semaphore per worker per round of a dissemination
+    barrier (``ceil(log2 n)`` rounds; in round *r* worker *w* posts to
+    worker ``w + 2**r`` and waits on its own, so no lock exists for a
+    killed worker to leave held), and an anonymous shared mapping holding
+    the abort word and ``slots[2, n, _SLOT_WORDS]``.  Slots are double
+    buffered: step *i* writes row ``i % 2``, so a peer still reading step
+    *i* - 1's slots never sees them overwritten.  Word 0 of a slot names the
+    step it was published for (-1: none yet).  The abort word names the
+    first step whose barrier ends the region (-1: none), so a worker that
+    fails step *s* cannot stop a peer still leaving barrier *s* - 1.
+    Nothing here has a name or a file descriptor: the memory goes with
+    the set's last reference.
+    """
+
+    def __init__(self, ctx, nworkers: int) -> None:
+        rounds = (nworkers - 1).bit_length()
+        self.sems = [[ctx.Semaphore(0) for _ in range(rounds)] for _ in range(nworkers)]
+        words = np.frombuffer(mmap.mmap(-1, 8 * (1 + 2 * nworkers * _SLOT_WORDS)), np.int64)
+        self.abort = words[:1]
+        self.slots = words[1:].reshape(2, nworkers, _SLOT_WORDS)
+
+    def reset(self) -> None:
+        """Clear the abort word and every slot before a region starts."""
+        self.abort[0] = -1
+        self.slots[...] = -1
+
+    def published(self, p: int) -> int:
+        """The last step every one of the first *p* workers published (-1: none)."""
+        return int(self.slots[:, :p, 0].max(axis=0).min())
+
+    def cancel(self) -> None:
+        """Abort the running region: every worker leaves at its next barrier.
+
+        The abort word is set before one token is posted to every
+        semaphore, so a worker released by a posted token sees it.  The set
+        is never leased again (the tokens left behind would break its
+        barrier).
+        """
+        self.abort[0] = 0
+        for row in self.sems:
+            for sem in row:
+                sem.release()
+
+
+class RegionContext:
+    """What a region kernel running in one worker sees.
+
+    A region kernel is a module-level function ``fn(ctx, args)`` shipped to
+    each participating worker by :meth:`ProcessBackend.run_region`; it
+    steps on the shared :attr:`planes` on its own, publishes each step to
+    :meth:`slot`, and meets its peers at :meth:`wait`.
+    """
+
+    def __init__(
+        self, shared: _RegionShared, wid: int, nworkers: int, planes, injector, epoch, parent: int
+    ):
+        #: this worker's index among the region's participants
+        self.wid = wid
+        #: participants: the first ``nworkers`` workers of the set
+        self.nworkers = nworkers
+        #: the planes the lease attached
+        self.planes = planes
+        #: the command's send time; ``perf_counter() - epoch`` is comparable across workers
+        self.epoch = epoch
+        self._shared = shared
+        self._injector = injector
+        self._parent = parent
+        self._rounds = [
+            (shared.sems[(wid + (1 << r)) % nworkers][r], shared.sems[wid][r])
+            for r in range((nworkers - 1).bit_length())
+        ]
+
+    def check(self, step: int) -> None:
+        """Fault-injection point: this worker's share of *step* is task
+        ``step * len(set) + wid`` for the backend's ``FaultInjector``."""
+        if self._injector is not None:
+            self._injector.check(step * len(self._shared.sems) + self.wid)
+
+    def slot(self, step: int) -> np.ndarray:
+        """This worker's slot for *step*: 16 int64 words, word 0 naming the
+        step (write it last; -1 until then)."""
+        return self._shared.slots[step % 2, self.wid]
+
+    def slots(self, step: int) -> np.ndarray:
+        """Every participant's slot for *step* (read them after :meth:`wait`)."""
+        return self._shared.slots[step % 2, : self.nworkers]
+
+    def abort(self, step: int) -> None:
+        """End the region at the barrier after *step* (for every participant)."""
+        self._shared.abort[0] = step
+
+    def wait(self, step: int) -> bool:
+        """The barrier after *step*, spin then block; False when the region ends there.
+
+        A worker whose parent is gone exits here, at every barrier and every
+        :data:`_IDLE_EXIT_S` while blocked: no one will read the rest of
+        the region, and nothing else would wake a blocked worker.
+        """
+        if os.getppid() != self._parent:
+            os._exit(1)
+        for post, own in self._rounds:
+            post.release()
+            for _ in range(_BARRIER_SPINS):
+                if own.acquire(False):
+                    break
+            else:
+                while not own.acquire(timeout=_IDLE_EXIT_S):
+                    if os.getppid() != self._parent:
+                        os._exit(1)
+        return not 0 <= self._shared.abort[0] <= step
+
+
 def _worker_main(
     conn,
     wid: int,
     fault_injector: FaultInjector | None,
     claims: int,
+    shared: _RegionShared,
 ) -> None:
     """Persistent worker loop: serve commands for one lease after another.
 
@@ -610,7 +707,7 @@ def _worker_main(
       residents and map the new lease's planes;
     * ``("detach",)`` — drop the planes and residents: the set is idle,
       and exits on its own if no attach comes within :data:`_IDLE_EXIT_S`;
-    * ``("register", bid, (kind, body))`` — install a resident batch;
+    * ``("register", bid, specs)`` — install a resident spec list;
     * ``("run", seq, epoch, bid, payload, plan)`` — execute the items
       of *payload* (all of them, or a first chunk and then the chunks
       claimed from the *claims* queue when a ``plan`` is given, see
@@ -618,7 +715,11 @@ def _worker_main(
       ``(seq, wid, rows, err)`` where rows are ``(position, start, end,
       return_value)`` with times offset from *epoch* (CLOCK_MONOTONIC is
       system-wide where fork exists, so offsets are comparable across
-      workers).
+      workers);
+    * ``("region", seq, epoch, fn, nworkers, args)`` — run the region
+      kernel ``fn(RegionContext, args)`` with the first *nworkers* workers
+      of the set (see :meth:`ProcessBackend.run_region`) and reply once
+      ``(seq, wid, (start, value), err)``.
 
     ``seq`` is the parent's epoch tag: replies from a previous attempt
     are discarded by the barrier, so a slow worker can never corrupt a
@@ -632,10 +733,11 @@ def _worker_main(
     # Python 3.13), and a registration arriving after the parent's unlink
     # would be reported, and unlinked again, as a leak at exit.
     resource_tracker.register = lambda name, rtype: None
+    parent = os.getppid()
     segments: list = []
     arrays: list[np.ndarray] = []
     leased = False
-    resident: dict[int, tuple] = {}
+    resident: dict[int, list[TileTask]] = {}
     while True:
         try:
             if not leased and not conn.poll(_IDLE_EXIT_S):
@@ -664,30 +766,42 @@ def _worker_main(
         if op == "register":
             resident[msg[1]] = msg[2]
             continue
-        _, seq, epoch, bid, payload, plan = msg
-        rows: list[tuple[int, float, float, object]] = []
+        seq, epoch = msg[1], msg[2]
+        out: object = None
         err: Exception | None = None
+        if op == "region":
+            _, _, _, fn, nworkers, args = msg
+            start = time.perf_counter() - epoch
+            try:
+                ctx = RegionContext(shared, wid, nworkers, arrays, fault_injector, epoch, parent)
+                out = (start, fn(ctx, args))
+            except Exception as exc:
+                err = exc
+        else:
+            _, _, _, bid, payload, plan = msg
+            rows: list[tuple[int, float, float, object]] = []
+            out = rows
+            try:
+                items = _resident_items(resident, bid, payload)
+                for lo, hi in _claimed(claims, wid, plan):
+                    for idx, task in items[lo:hi]:
+                        fn = _TILE_KERNELS.get(task.kernel)
+                        if fn is None:
+                            raise SchedulingError(
+                                f"tile kernel {task.kernel!r} is not registered in this worker"
+                            )
+                        if fault_injector is not None:
+                            fault_injector.check(idx)
+                        t0 = time.perf_counter() - epoch
+                        ret = fn(arrays, task)
+                        t1 = time.perf_counter() - epoch
+                        rows.append((idx, t0, t1, ret))
+            except Exception as exc:
+                err = exc
         try:
-            items = _resident_items(resident, bid, payload)
-            for lo, hi in _claimed(claims, wid, plan):
-                for idx, task in items[lo:hi]:
-                    fn = _TILE_KERNELS.get(task.kernel)
-                    if fn is None:
-                        raise SchedulingError(
-                            f"tile kernel {task.kernel!r} is not registered in this worker"
-                        )
-                    if fault_injector is not None:
-                        fault_injector.check(idx)
-                    t0 = time.perf_counter() - epoch
-                    ret = fn(arrays, task)
-                    t1 = time.perf_counter() - epoch
-                    rows.append((idx, t0, t1, ret))
-        except Exception as exc:
-            err = exc
-        try:
-            buf = pickle.dumps((seq, wid, rows, err))
+            buf = pickle.dumps((seq, wid, out, err))
         except Exception:  # unpicklable exception: ship its repr instead
-            buf = pickle.dumps((seq, wid, rows, SchedulingError(repr(err))))
+            buf = pickle.dumps((seq, wid, out, SchedulingError(repr(err))))
         try:
             conn.send_bytes(buf)
         except Exception:  # parent pipe gone mid-reply
@@ -707,7 +821,7 @@ class _Worker:
 
 
 class _WorkerSet:
-    """Forked workers with their claim queue and command ``seq`` counter.
+    """Forked workers with their claim queue, region barrier and ``seq`` counter.
 
     A set outlives the backend that leased it: :func:`_park` keeps a
     clean one in the idle pool and the next backend with as many workers
@@ -715,7 +829,7 @@ class _WorkerSet:
     leases and no reply of an earlier lease can match a later barrier.
     """
 
-    __slots__ = ("workers", "claims", "seq", "version", "private", "ok")
+    __slots__ = ("workers", "claims", "shared", "seq", "version", "private", "ok")
 
     def __init__(self, nworkers: int, fault_injector: FaultInjector | None) -> None:
         ctx = multiprocessing.get_context("fork")
@@ -723,6 +837,8 @@ class _WorkerSet:
         os.set_blocking(claims, False)
         #: (read, write) ends of the chunk-id claim queue
         self.claims = (claims, claims_w)
+        #: the regions' barrier, slots and abort word, inherited at fork
+        self.shared = _RegionShared(ctx, nworkers)
         self.seq = 0
         #: the tile-kernel registry the workers inherited
         self.version = _REGISTRY_VERSION
@@ -736,7 +852,7 @@ class _WorkerSet:
             parent_conn, child_conn = ctx.Pipe(duplex=True)
             proc = ctx.Process(
                 target=_worker_main,
-                args=(child_conn, wid, fault_injector, claims),
+                args=(child_conn, wid, fault_injector, claims, self.shared),
                 daemon=True,
             )
             proc.start()
@@ -883,11 +999,10 @@ class ProcessBackend(_TileTimeline):
     **Dispatch protocol.**  Batches with a stable
     identity become *residents*: a non-dynamic spec batch is registered
     once (its :class:`TileTask` list pickled a single time, keyed by batch
-    object identity), and a batch carrying a :class:`BandRule` registers
-    the rule's ``(kernel, src, dst, k)`` — after which an iteration ships
-    only ``("run", seq, epoch, batch_id, selection, plan)`` where the
-    selection is a handful of index spans (plus ``(window, nbands)`` for
-    bands) and ``plan`` carries the chunk bounds of a claimed schedule.  A :meth:`TaskBatch.subset` — a frontier or lazy selection —
+    object identity), after which an iteration ships only
+    ``("run", seq, epoch, batch_id, selection, plan)`` where the selection
+    is a handful of index spans and ``plan`` carries the chunk bounds of a
+    claimed schedule.  A :meth:`TaskBatch.subset` — a frontier or lazy selection —
     dispatches against its base's registration: its selection also names
     the base index of each task.  ``seq`` is an epoch tag acting as the
     barrier generation: the collect loop discards replies from earlier
@@ -937,14 +1052,27 @@ class ProcessBackend(_TileTimeline):
     (a :class:`~repro.common.resilience.DegradationLog`) when one is
     supplied.
 
+    **Parallel regions.**  :meth:`run_region` sends one ``region``
+    command per participating worker: a module-level kernel and its
+    arguments.  The workers then loop on their own, publishing each step
+    to a double-buffered slot and meeting at a spin-then-block
+    dissemination barrier; both, with an abort word, belong to the worker
+    set (:class:`_RegionShared`), made before its workers fork.  A worker
+    that dies, raises, or publishes nothing new for ``task_timeout``
+    seconds fails the attempt: the others are released from the barrier
+    and reply, the kernel's state is collected from the slots, and the
+    region is re-sent on a rebuilt set, per ``retry`` and then
+    ``allow_fallback`` as for batches.  ``pfrontier`` runs its fixpoint
+    loop this way (:mod:`repro.sandpile.pfrontier`).
+
     **Dispatch metrics.**  Pass ``metrics`` (a
     :class:`repro.obs.metrics.MetricsRegistry`) to count commands and
     serialized bytes per dispatch mode (``easypap_dispatch_commands_total``,
     ``easypap_dispatch_bytes_total``, labelled ``mode=oneshot|resident|
-    register``, and ``attach``/``detach`` once per worker per lease),
-    batches (``easypap_dispatch_batches_total``), and observe
-    the command-send-to-first-task delay
-    (``easypap_dispatch_queue_wait_seconds``).
+    register|region``, and ``attach``/``detach`` once per worker per
+    lease), batches (``easypap_dispatch_batches_total``), and observe the
+    command-send-to-first-task delay (for a region, to the kernel's start:
+    ``easypap_dispatch_queue_wait_seconds``).
     """
 
     def __init__(
@@ -1009,7 +1137,6 @@ class ProcessBackend(_TileTimeline):
         self._spec_bids: "weakref.WeakKeyDictionary[TaskBatch, int]" = (
             weakref.WeakKeyDictionary()
         )
-        self._band_bids: dict[tuple, int] = {}
         self._threads: ThreadBackend | None = None
         self._closed = False
         self._reported_thread_degradation = False
@@ -1084,7 +1211,7 @@ class ProcessBackend(_TileTimeline):
             for wk in self._set.workers:
                 self._post(wk, buf, mode="register")
 
-    def _register_resident(self, payload: tuple) -> int:
+    def _register_resident(self, payload: list) -> int:
         """Install a resident registration on every live worker; returns its id."""
         bid = self._next_bid
         self._next_bid += 1
@@ -1101,27 +1228,18 @@ class ProcessBackend(_TileTimeline):
     def _resident_for(self, batch: TaskBatch) -> int | None:
         """The resident batch id to dispatch *batch* under (None = oneshot).
 
-        Band-rule batches share one registration per ``(kernel, src, dst,
-        k)``; non-dynamic spec batches register their spec list once per
-        batch object (weakly keyed, so a dropped batch frees its slot), and
-        a :meth:`TaskBatch.subset` runs under its base's registration.
-        Other dynamic spec batches have no stable identity and stay oneshot.
+        Non-dynamic spec batches register their spec list once per batch
+        object (weakly keyed, so a dropped batch frees its slot), and a
+        :meth:`TaskBatch.subset` runs under its base's registration.  Other
+        dynamic spec batches have no stable identity and stay oneshot.
         """
-        if batch.bands is not None:
-            b = batch.bands
-            key = (b.kernel, b.src, b.dst, b.k)
-            bid = self._band_bids.get(key)
-            if bid is None:
-                bid = self._register_resident(("bands", key))
-                self._band_bids[key] = bid
-            return bid
         if batch.base is not None:
             batch = batch.base
         elif batch.dynamic or not batch.spec:
             return None
         bid = self._spec_bids.get(batch)
         if bid is None:
-            bid = self._register_resident(("specs", list(batch.spec)))
+            bid = self._register_resident(list(batch.spec))
             self._spec_bids[batch] = bid
             weakref.finalize(batch, self._residents.pop, bid, None)
         return bid
@@ -1213,7 +1331,7 @@ class ProcessBackend(_TileTimeline):
         if self._threads is None:
             self._threads = ThreadBackend(self.nworkers)
         result = self._threads.run(batch, iteration=iteration, kind=kind)
-        self._record(result.spans, batch, iteration, kind)
+        self.record(result.spans, batch.tiles, iteration, kind)
         return result
 
     def _describe_missing(self, batch: TaskBatch, missing: set[int], chunks) -> str:
@@ -1243,8 +1361,6 @@ class ProcessBackend(_TileTimeline):
         if bid is None:
             return [(i, batch.spec[i]) for i in idxs]
         positions = index_spans(idxs)
-        if batch.bands is not None:
-            return (batch.bands.window, batch.bands.nbands, positions)
         if batch.base is None:
             return (positions, None)
         base = batch.indices
@@ -1504,8 +1620,169 @@ class ProcessBackend(_TileTimeline):
             spans=done,
             returns=returns,
         )
-        self._record(done, batch, iteration, kind)
+        self.record(done, batch.tiles, iteration, kind)
         return result
+
+    # -- parallel regions ---------------------------------------------------------
+
+    def run_region(
+        self,
+        fn: Callable[[RegionContext, object], object],
+        args: Callable[[], object],
+        collect: Callable[[int, np.ndarray, list], None],
+        *,
+        nworkers: int | None = None,
+    ) -> bool:
+        """Run the region kernel *fn* on the first *nworkers* leased workers.
+
+        One ``region`` command per participant ships ``fn`` (pickled by
+        name) and ``args()``; each participant runs ``fn(ctx, args)`` (see
+        :class:`RegionContext`) and replies once.  After every attempt,
+        ``collect(step, slots, values)`` gets the last step every
+        participant published (-1: none), a copy of their slots and each
+        participant's return value (None where no reply came), so it can
+        advance the state that ``args()`` sends next.
+
+        A worker that dies, raises or makes no progress for
+        ``task_timeout`` seconds fails the attempt: the others are made to
+        leave at their next barrier and reply, then the set is rebuilt and
+        the region re-sent with the new ``args()`` — the kernel resumes
+        from its slots, per :attr:`retry`.  When retries are exhausted
+        the set is killed and, with ``allow_fallback``, the backend
+        degrades to threads and this returns False (the caller finishes
+        the work in-process); without it a :class:`SchedulingError` is
+        raised.  Returns True when an attempt succeeded.
+        """
+        if self._closed:
+            raise ConfigurationError("backend is closed")
+        if self._set is None:
+            raise SchedulingError("bind_planes() must be called before running a region")
+        p = self.nworkers if nworkers is None else nworkers
+        attempt = 1
+        while True:
+            ws = self._set
+            # an attempt that ends any other way leaves the set unfit for a later lease
+            ws.ok = False
+            values, failure = self._region_attempt(ws, fn, args(), p)
+            collect(ws.shared.published(p), ws.shared.slots.copy(), values)
+            if failure is None:
+                ws.ok = True
+                return True
+            if attempt >= self.retry.max_attempts:
+                self._teardown_pool()
+                if not self.allow_fallback:
+                    self._log_degradation(
+                        "give-up", f"retries exhausted: {failure}", attempt=attempt
+                    )
+                    raise SchedulingError(
+                        f"retries exhausted ({self.retry.max_attempts} attempts) and "
+                        f"fallback disabled: region {fn.__name__} failed: {failure}"
+                    ) from failure
+                self._log_degradation(
+                    "thread-fallback", f"retries exhausted: {failure}", attempt=attempt
+                )
+                self.uses_processes = False
+                self._degraded = True
+                return False
+            self._log_degradation(
+                "pool-rebuild", f"{type(failure).__name__}: {failure}", attempt=attempt
+            )
+            self.retry.sleep(attempt)
+            self._rebuild_pool()
+            attempt += 1
+
+    def _region_attempt(self, ws: _WorkerSet, fn, args, p: int) -> tuple[list, Exception | None]:
+        """One region attempt on the first *p* workers of *ws*: ``(values, failure)``.
+
+        The attempt's deadline restarts whenever the last step every
+        participant published moves on, so ``task_timeout`` bounds a step,
+        not the region.  On the first failure the region is cancelled and
+        the survivors' replies are still collected (for another
+        ``task_timeout`` at most), since they carry what the kernel
+        recorded up to the step it stopped at.
+        """
+        shared = ws.shared
+        shared.reset()
+        ws.seq += 1
+        seq = ws.seq
+        epoch = time.perf_counter()
+        buf = pickle.dumps(("region", seq, epoch, fn, p, args))
+        values: list = [None] * p
+        failure: Exception | None = None
+        #: worker -> send offset from epoch, until its reply arrives
+        waiting: dict[_Worker, float] = {}
+        for wk in ws.workers[:p]:
+            if wk.alive:
+                try:
+                    self._post(wk, buf, mode="region")
+                except OSError:
+                    wk.alive = False
+            if not wk.alive:
+                failure = failure or BrokenProcessPool(f"worker {wk.wid} is gone")
+                continue
+            waiting[wk] = time.perf_counter() - epoch
+        if failure is not None:
+            shared.cancel()
+        deadline = Deadline(self.task_timeout)
+        progress = -1
+
+        def recv_one(wk: _Worker) -> bool:
+            """Consume one reply from *wk*; False when the pipe is dead."""
+            nonlocal failure
+            try:
+                rseq, _rwid, out, err = pickle.loads(wk.conn.recv_bytes())
+            except (EOFError, OSError):
+                return False
+            if rseq != seq:  # stale reply from an earlier command
+                return True
+            send_off = waiting.pop(wk)
+            if out is not None:
+                start, values[wk.wid] = out
+                if self._m_wait is not None:
+                    self._m_wait.observe(max(start - send_off, 0.0))
+            if err is not None:
+                failure = failure or err
+            return True
+
+        while waiting:
+            cancelled = failure is not None
+            conns = {wk.conn: wk for wk in waiting}
+            sentinels = {wk.proc.sentinel: wk for wk in waiting}
+            ready = multiprocessing.connection.wait(
+                list(conns) + list(sentinels), timeout=deadline.remaining()
+            )
+            if not ready:
+                now = shared.published(p)
+                if cancelled:
+                    break  # the workers still owed are hung: the rebuild kills them
+                if now <= progress:
+                    failure = SchedulingError(
+                        f"region step {now + 1} exceeded task_timeout={self.task_timeout}s"
+                    )
+                progress = now
+            for obj in ready:
+                wk = conns.get(obj) or sentinels[obj]
+                if wk not in waiting:  # answered (or buried) earlier in this loop
+                    continue
+                if obj is wk.conn and recv_one(wk):
+                    continue
+                # dead: harvest a reply it managed to send first
+                wk.alive = False
+                try:
+                    while wk in waiting and wk.conn.poll(0) and recv_one(wk):
+                        pass
+                except OSError:
+                    pass
+                if waiting.pop(wk, None) is not None:
+                    failure = failure or BrokenProcessPool(
+                        f"worker {wk.wid} (pid {wk.proc.pid}) died mid-region"
+                    )
+            if failure is not None and not cancelled:
+                shared.cancel()
+                deadline = Deadline(self.task_timeout)
+            elif not ready:
+                deadline = Deadline(self.task_timeout)
+        return values, failure
 
 
 def make_backend(

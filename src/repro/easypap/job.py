@@ -4,7 +4,8 @@
 kernel variant — including ``pfrontier`` on the process backend — runs
 one stepper call per protocol step until the grid reaches its fixpoint,
 and closes the stepper.  ``run_to_fixpoint``, ``EasyPapApp`` and
-``PerfCampaign`` all drive it.
+``PerfCampaign`` all drive it; ``run_to_fixpoint`` asks for whole
+segments (:meth:`SandpileJob.advance`), the others step.
 
 Checkpointing is **restore-by-rebuild**: a snapshot carries the full grid
 plane (interior + sink frame), the sink counter, and the iteration count;
@@ -59,6 +60,12 @@ class SandpileJob(Job):
     a temporally blocked stepper); a step taken once it has reached
     *max_iterations* raises ``SimulationError``.
 
+    :meth:`step` is one stepper call.  :meth:`advance` is one *segment*:
+    when the stepper runs segments as parallel regions (``pfrontier`` on
+    the process backend, known once the stepper is built) it asks for all
+    iterations left within *max_iterations* at once, else it is
+    :meth:`step`.  Both count iterations exactly alike.
+
     The synchronous family is double-buffered (writes land off-plane
     until commit), so a raised step leaves the live plane intact and
     ``retryable_steps`` is True; pass ``retryable=False`` for in-place
@@ -91,6 +98,7 @@ class SandpileJob(Job):
         #: the live stepper: built on the first step, dropped by close()
         self.stepper = None
         self._k = 1
+        self._segmented = False
         #: spec params when built via from_spec; None for direct-grid jobs
         self._spec_params: dict | None = None
         # construction-time grid digest: the describe() fallback for jobs
@@ -170,9 +178,8 @@ class SandpileJob(Job):
 
     # -- protocol ----------------------------------------------------------------
 
-    def step(self) -> bool:
-        if self._done:
-            return False
+    def _stepper(self):
+        """The live stepper, built on first use; raises once the budget is spent."""
         if self.iterations >= self.max_iterations:
             raise SimulationError(
                 f"{self.name}: no fixpoint within {self.max_iterations} iterations"
@@ -181,11 +188,33 @@ class SandpileJob(Job):
         if stepper is None:
             stepper = self.stepper = self._factory(self.grid, **self.options)
             self._k = getattr(stepper, "k", 1)
-        if stepper():
+            self._segmented = getattr(stepper, "segmented", False)
+        return stepper
+
+    def step(self) -> bool:
+        if self._done:
+            return False
+        if self._stepper()():
             self.iterations += self._k
             return True
         self._done = True
         return False
+
+    def advance(self) -> bool:
+        """One segment of the remaining iterations; True while not done.
+
+        A stepper without segments takes one :meth:`step`.
+        """
+        if self.stepper is None and not self._done:
+            self._stepper()  # built now, it tells whether it takes segments
+        if not self._segmented or self._done:
+            return self.step()
+        limit = self.max_iterations - self.iterations
+        ran = self._stepper().advance(limit)
+        self.iterations += ran
+        # a segment that stops short of the budget has reached the fixpoint
+        self._done = ran < -(-limit // self._k) * self._k
+        return not self._done
 
     def result(self) -> dict:
         """Fixpoint fingerprint: iterations, final interior, sink counter."""

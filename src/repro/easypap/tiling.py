@@ -15,7 +15,7 @@ from collections.abc import Iterator
 
 from repro.common.errors import ConfigurationError
 
-__all__ = ["Tile", "TileGrid", "band_tiles"]
+__all__ = ["Tile", "TileGrid", "band_tiles", "deal"]
 
 
 @dataclass(frozen=True)
@@ -55,6 +55,14 @@ class Tile:
         return slice(self.y0, self.y1), slice(self.x0, self.x1)
 
 
+def deal(count: int, n: int, i: int) -> tuple[int, int]:
+    """Items ``[lo, hi)`` of *count* that part *i* of *n* takes: contiguous
+    runs as even as possible, earlier parts taking the remainder."""
+    base, rem = divmod(count, n)
+    lo = i * base + min(i, rem)
+    return lo, lo + base + (i < rem)
+
+
 def band_tiles(window: tuple[int, int, int, int], nbands: int) -> list[Tile]:
     """Cut the interior rectangle *window* into ``nbands`` full-width row bands.
 
@@ -76,13 +84,10 @@ def band_tiles(window: tuple[int, int, int, int], nbands: int) -> list[Tile]:
     if nbands < 1:
         raise ConfigurationError(f"nbands must be >= 1, got {nbands}")
     n = min(nbands, height)
-    base, rem = divmod(height, n)
     tiles: list[Tile] = []
-    row = y0
     for i in range(n):
-        h = base + (1 if i < rem else 0)
-        tiles.append(Tile(index=i, ty=i, tx=0, y0=row, x0=x0, h=h, w=width))
-        row += h
+        lo, hi = deal(height, n, i)
+        tiles.append(Tile(index=i, ty=i, tx=0, y0=y0 + lo, x0=x0, h=hi - lo, w=width))
     return tiles
 
 

@@ -263,11 +263,18 @@ def run_to_fixpoint(
     iterations; :class:`~repro.common.errors.SimulationError` is raised
     when *max_iterations* of them pass without reaching the fixpoint.
 
+    The run goes through :meth:`SandpileJob.advance
+    <repro.easypap.job.SandpileJob.advance>`: ``pfrontier`` on the process
+    backend runs all iterations left in the budget as one segment (a
+    parallel region of the workers), every other variant one stepper call
+    at a time.
+
     *trace* (a :class:`repro.obs.Tracer`) receives the tile spans of the
     variants that record them, under the ``easypap`` track group, and one
-    wall-clock span per stepper call under ``easypap-driver`` (a pid of
-    its own: tile spans run on batch time, not on the tracer's clock),
-    named after the grid iteration the call starts from.  A falsy tracer
+    wall-clock span per stepper call — per segment for process
+    ``pfrontier`` — under ``easypap-driver`` (a pid of its own: tile spans
+    run on batch time, not on the tracer's clock), named after the grid
+    iteration the call starts from.  A falsy tracer
     (None or :class:`repro.obs.NullTracer`) costs one branch per call —
     the hot-path guard the overhead benchmark holds to <=5%.
     """
@@ -287,9 +294,9 @@ def run_to_fixpoint(
                     span_args["iteration"] = job.iterations
                     span_args["kernel"] = kernel
                     span_args["variant"] = variant
-                    more = job.step()
+                    more = job.advance()
             else:
-                more = job.step()
+                more = job.advance()
         stepper = job.stepper
     return RunResult(
         kernel=kernel,

@@ -26,7 +26,7 @@ class TestDefaultCampaign:
         scs = default_campaign()
         assert {sc.substrate for sc in scs} == set(SUBSTRATES)
         assert {sc.kind for sc in scs} == KINDS
-        assert len(scs) == 19
+        assert len(scs) == 20
 
     def test_kill_resume_everywhere(self):
         # the headline invariant applies to every substrate
@@ -48,6 +48,6 @@ class TestDefaultCampaign:
 
     def test_only_easypap_faults_need_processes(self):
         needy = {(sc.substrate, sc.kind) for sc in default_campaign() if sc.requires_processes}
-        assert needy == {("easypap", "inject-raise"), ("easypap", "worker-kill")} | {
-            ("easypap", kind) for kind in POOL_KINDS
-        }
+        assert needy == {
+            ("easypap", "inject-raise"), ("easypap", "worker-kill"), ("easypap", "region-kill"),
+        } | {("easypap", kind) for kind in POOL_KINDS}

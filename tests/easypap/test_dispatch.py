@@ -5,9 +5,9 @@ once, stable batches register once per identity, and every subsequent
 iteration ships at most one tiny command tuple per worker.  These tests
 pin the pieces the executor contract tests don't see directly: the
 resident registries, selections dispatched against a resident base, the
-claimed dynamic/guided schedules, the band-rule command shape, the
-dispatch metrics, the re-registration guarantee after a pool rebuild, and
-the OS resources the runtime releases.
+claimed dynamic/guided schedules, the parallel-region commands of
+``pfrontier``, the dispatch metrics, the re-registration guarantee after
+a pool rebuild, and the OS resources the runtime releases.
 """
 
 import multiprocessing
@@ -21,7 +21,6 @@ import repro.easypap.executor as executor
 import repro.sandpile.kernels  # noqa: F401 - registers the tile kernels
 from repro.common.errors import ConfigurationError
 from repro.easypap.executor import (
-    BandRule,
     ProcessBackend,
     SequentialBackend,
     TaskBatch,
@@ -94,18 +93,7 @@ class TestIndexSpans:
 
 
 class TestBandRule:
-    def test_tasks_match_band_tiles(self):
-        rule = BandRule("sync_tile_k", 0, 1, 3, (2, 10, 0, 8), 4)
-        tasks = rule.tasks()
-        tiles = band_tiles((2, 10, 0, 8), 4)
-        assert [t.tile for t in tasks] == tiles
-        assert all(t.arg == 3 and t.kernel == "sync_tile_k" for t in tasks)
-
-    def test_band_count_must_match_task_count(self):
-        rule = BandRule("sync_tile_k", 0, 1, 2, (0, 8, 0, 8), 2)
-        tasks = [TileTask("sync_tile_k", 0, 1, t, arg=2) for t in band_tiles((0, 8, 0, 8), 2)]
-        with pytest.raises(ConfigurationError):
-            TaskBatch([lambda: None], tiles=[tasks[0].tile], spec=[tasks[0]], bands=rule)
+    """``band_tiles``: how a fused (k > 1) window is cut into worker bands."""
 
     def test_band_tiles_cover_window_disjointly(self):
         window = (3, 17, 2, 9)
@@ -169,36 +157,13 @@ class TestResidentDispatch:
     def test_band_batch_computes_fused_steps(self):
         g, scratch = make_planes()
         k, window = 3, (0, 12, 0, 12)
-        rule = BandRule("sync_tile_k", 0, 1, k, window, 2)
         tiles = band_tiles(window, 2)
         spec = [TileTask("sync_tile_k", 0, 1, t, arg=k) for t in tiles]
-        batch = TaskBatch(
-            [lambda: None] * len(tiles), tiles=tiles, spec=spec, dynamic=True, bands=rule
-        )
+        batch = TaskBatch([lambda: None] * len(tiles), tiles=tiles, spec=spec, dynamic=True)
         with ProcessBackend(2) as be:
             _, p1 = be.bind_planes(g.data, scratch)
             be.run(batch)
             assert np.array_equal(p1[1:-1, 1:-1], expected_after(g, k).interior)
-
-    @needs_processes
-    def test_band_rule_is_resident_across_fresh_batches(self):
-        g, scratch = make_planes()
-        k, window = 2, (0, 12, 0, 12)
-        reg = MetricsRegistry()
-        with ProcessBackend(2, metrics=reg) as be:
-            be.bind_planes(g.data, scratch)
-            for _ in range(3):
-                # a fresh batch object per iteration, same (kernel,src,dst,k)
-                rule = BandRule("sync_tile_k", 0, 1, k, window, 2)
-                tiles = band_tiles(window, 2)
-                spec = [TileTask("sync_tile_k", 0, 1, t, arg=k) for t in tiles]
-                be.run(TaskBatch(
-                    [lambda: None] * len(tiles), tiles=tiles, spec=spec,
-                    dynamic=True, bands=rule,
-                ))
-            commands = reg.get("easypap_dispatch_commands_total")
-            assert commands.value(mode="register") == 2.0  # one broadcast only
-            assert commands.value(mode="oneshot") == 0
 
     @needs_processes
     def test_dynamic_spec_batches_stay_oneshot(self):
@@ -241,6 +206,48 @@ class TestResidentDispatch:
             p1[:] = 0
             be.run(batch)
             assert np.array_equal(p1[1:-1, 1:-1], expected_after(g).interior)
+
+
+# -- parallel regions ---------------------------------------------------------
+
+
+class TestRegion:
+    """``pfrontier`` on processes: one region command per worker per segment."""
+
+    @needs_processes
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_segment_sends_one_command_per_worker(self, k):
+        from repro.sandpile.model import center_pile
+        from repro.sandpile.simulate import run_to_fixpoint
+
+        g = center_pile(24, 24, 400)
+        ref = g.copy()
+        reg = MetricsRegistry()
+        result = run_to_fixpoint(g, "sandpile", "pfrontier", tile_size=4, nworkers=2, k=k,
+                                 metrics=reg)
+        want = run_to_fixpoint(ref, "sandpile", "frontier")
+        assert np.array_equal(g.interior, ref.interior)
+        assert g.sink_absorbed == ref.sink_absorbed
+        assert want.iterations <= result.iterations < want.iterations + k
+        commands = reg.get("easypap_dispatch_commands_total")
+        assert commands.value(mode="region") == 2.0
+        for mode in ("register", "resident", "oneshot"):
+            assert commands.value(mode=mode) == 0
+        total = sum(row["value"] for row in commands.samples())
+        assert total / result.iterations < 0.1  # attach + region + detach, per job
+
+    @needs_processes
+    def test_one_step_region_commands_only_workers_with_rows(self):
+        from repro.sandpile.pfrontier import ParallelFrontierStepper
+
+        g = Grid2D(16, 16)
+        g.interior[1, 1] = 6  # the window stays inside the first tile row
+        reg = MetricsRegistry()
+        with ParallelFrontierStepper(g, 8, backend=ProcessBackend(2, metrics=reg)) as st:
+            assert st()
+            assert st.window_log[0][2] == 1
+        commands = reg.get("easypap_dispatch_commands_total")
+        assert commands.value(mode="region") == 1.0
 
 
 # -- one command per worker ---------------------------------------------------

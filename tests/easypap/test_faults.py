@@ -5,6 +5,8 @@ marked ``faults`` and run as their own CI job with a hard timeout; locally
 they are part of the normal suite.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -320,3 +322,136 @@ class TestDiagnostics:
             be.run(TaskBatch([lambda: None] * len(tiles), tiles=tiles, spec=spec))
         be.close()  # must not raise or leak shared memory
         be.close()  # idempotent
+
+
+def _region_reference(base, k):
+    """The call-by-call sequential pfrontier run of *base*: stepper state."""
+    from repro.sandpile.pfrontier import ParallelFrontierStepper
+
+    with ParallelFrontierStepper(base.copy(), tile_size=4, k=k, nbands=2) as st:
+        while st():
+            pass
+        return _region_state(st)
+
+
+def _region_state(st):
+    return (st.grid.data.tobytes(), st.grid.sink_absorbed, st.iterations,
+            list(st.window_log), st.tiles_computed, st.tiles_skipped)
+
+
+def _region_segment(base, k, **backend_opts):
+    """One segment to the fixpoint on 2 worker processes: (state, backend)."""
+    from repro.sandpile.pfrontier import ParallelFrontierStepper
+
+    be = ProcessBackend(2, "dynamic", **backend_opts)
+    with ParallelFrontierStepper(base.copy(), tile_size=4, k=k, backend=be) as st:
+        assert st.advance(10**6) < 10**6  # the segment reached the fixpoint
+        return _region_state(st), be
+
+
+def _region_grid():
+    g = Grid2D(24, 24)
+    g.interior[4, 4] = 500
+    g.interior[18, 19] = 300
+    return g
+
+
+class TestRegionFaults:
+    """Faults inside a pfrontier segment run as one parallel region.
+
+    Worker *w*'s share of step *s* is fault-injector task ``2 * s + w``, so
+    each case names a step well past the first.  Every case must end on
+    the sequential run's grid, sink, iteration count, window log and tile
+    counters, after logging a pool rebuild.
+    """
+
+    @needs_processes
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_worker_killed_at_a_later_step(self, k):
+        base = _region_grid()
+        log = DegradationLog()
+        injector = FaultInjector(kill_on_tasks={2 * 5 + 1}, max_fires=1)
+        state, be = _region_segment(
+            base, k, retry=FAST_RETRY, degradation=log, fault_injector=injector
+        )
+        assert injector.fires == 1
+        assert log.by_action("pool-rebuild")
+        assert be.uses_processes
+        assert state == _region_reference(base, k)
+
+    @needs_processes
+    def test_share_that_raises_mid_segment(self):
+        base = _region_grid()
+        log = DegradationLog()
+        injector = FaultInjector(raise_on_tasks={2 * 4}, max_fires=1)
+        state, be = _region_segment(
+            base, 1, retry=FAST_RETRY, degradation=log, fault_injector=injector
+        )
+        assert injector.fires == 1
+        (rebuild,) = log.by_action("pool-rebuild")
+        assert "InjectedFault" in rebuild.reason
+        assert state == _region_reference(base, 1)
+
+    @needs_processes
+    def test_hang_past_task_timeout(self, monkeypatch):
+        """A share that stops making progress fails the attempt after
+        ``task_timeout``; the hung worker is killed, never parked."""
+        import multiprocessing
+        import time
+
+        import repro.easypap.executor as executor
+        import repro.sandpile.pfrontier as pfrontier
+
+        calls = multiprocessing.get_context("fork").Value("i", 0)
+        hung = multiprocessing.get_context("fork").Value("i", 0)
+        gather = pfrontier.sync_gather
+
+        def stalling_gather(*args):
+            with calls.get_lock():
+                calls.value += 1
+                stall = calls.value == 12
+            if stall:
+                hung.value = os.getpid()
+                time.sleep(60)
+            return gather(*args)
+
+        monkeypatch.setattr(pfrontier, "sync_gather", stalling_gather)
+        executor.shutdown_idle_pool()  # the next lease forks, with the patch
+        base = _region_grid()
+        log = DegradationLog()
+        state, be = _region_segment(
+            base, 1, retry=FAST_RETRY, degradation=log, task_timeout=0.5
+        )
+        (rebuild,) = log.by_action("pool-rebuild")
+        assert "task_timeout" in rebuild.reason
+        assert state == _region_reference(base, 1)
+        with pytest.raises(ProcessLookupError):
+            os.kill(hung.value, 0)  # killed and reaped, so not in the parked set
+        assert executor.shutdown_idle_pool() == 2  # the rebuilt set, clean
+
+    @needs_processes
+    def test_retries_exhausted_thread_fallback_finishes_the_segment(self):
+        base = _region_grid()
+        log = DegradationLog()
+        # the kill fires again in every attempt, each resumed at step 5
+        injector = FaultInjector(kill_on_tasks={2 * 5 + 1}, max_fires=3)
+        state, be = _region_segment(
+            base, 1, retry=RetryPolicy(max_attempts=3, base_delay=0.0),
+            degradation=log, fault_injector=injector,
+        )
+        assert injector.fires == 3
+        assert len(log.by_action("pool-rebuild")) == 2
+        assert len(log.by_action("thread-fallback")) == 1
+        assert not be.uses_processes
+        assert state == _region_reference(base, 1)
+
+    @needs_processes
+    def test_no_fallback_gives_up(self):
+        log = DegradationLog()
+        injector = FaultInjector(kill_on_tasks={2 * 5 + 1}, max_fires=100)
+        with pytest.raises(SchedulingError, match="retries exhausted"):
+            _region_segment(
+                _region_grid(), 1, retry=RetryPolicy(max_attempts=2, base_delay=0.0),
+                allow_fallback=False, degradation=log, fault_injector=injector,
+            )
+        assert len(log.by_action("give-up")) == 1

@@ -122,6 +122,9 @@ class TestEasypapRunTimeline:
             ("sandpile", "omp", {"backend": "threads"}),
             ("sandpile", "lazy", {}),
             ("asandpile", "omp", {"lazy": True}),
+            # one segment as a parallel region of worker processes
+            ("sandpile", "pfrontier", {"backend": "process", "k": 1}),
+            ("sandpile", "pfrontier", {"backend": "process", "k": 4}),
         ],
     )
     def test_whole_run_exports_to_perfetto(self, kernel, variant, opts):
@@ -133,6 +136,7 @@ class TestEasypapRunTimeline:
             center_pile(48, 48, 4_000), kernel, variant,
             tile_size=8, nworkers=4, trace=tracer, **opts,
         )
+        assert any(s.pid == "easypap" for s in tracer.spans())
         assert_valid_chrome_doc(to_chrome_trace(tracer))
 
 

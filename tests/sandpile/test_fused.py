@@ -116,8 +116,8 @@ def test_fused_stepper_reaches_unfused_fixpoint(interior, k, nbands, tile_size):
 @given(seed=st.integers(0, 2**16), k=st.integers(2, 4))
 @settings(max_examples=5, deadline=None)
 def test_resident_reregistration_reproduces_precrash_fixpoint(seed, k):
-    """Kill a worker mid-run: the rebuilt pool's replayed resident
-    registrations must still drive the run to the unfaulted fixpoint."""
+    """Kill a worker mid-run: the region resumed on the rebuilt set must
+    still drive the fused run to the unfaulted fixpoint."""
     from repro.common.resilience import DegradationLog, FaultInjector, RetryPolicy
     from repro.easypap.executor import ProcessBackend
     from repro.sandpile.model import random_uniform

@@ -276,3 +276,89 @@ def test_sync_window_fallback_wiring():
         assert sync_window is not sync_window_numpy
     else:
         assert sync_window is sync_window_numpy
+
+
+# -- segments as parallel regions ----------------------------------------------
+
+
+def _state(stepper):
+    return (
+        stepper.grid.data.copy(),
+        stepper.grid.sink_absorbed,
+        stepper.iterations,
+        list(stepper.window_log),
+        stepper.tiles_computed,
+        stepper.tiles_skipped,
+        stepper.window_cells,
+    )
+
+
+def _calls(stepper, limit):
+    """Call-by-call twin of ``advance(limit)``: at most ceil(limit / k) calls."""
+    for _ in range(-(-limit // stepper.k)):
+        if not stepper():
+            break
+
+
+@needs_processes
+@given(
+    interior=arrays(
+        dtype=np.int64,
+        shape=st.tuples(st.integers(2, 20), st.integers(2, 20)),
+        elements=st.integers(0, 12),
+    ),
+    k=st.sampled_from([1, 2, 4]),
+    nworkers=st.sampled_from([1, 2, 3]),
+    tile_size=st.sampled_from([2, 3, 8]),
+    limit=st.integers(1, 40),
+    edit=st.tuples(st.integers(0, 19), st.integers(0, 19), st.integers(1, 9)),
+)
+@settings(max_examples=30, deadline=None)
+def test_segments_match_call_by_call_sequential(interior, k, nworkers, tile_size, limit, edit):
+    """A segment run as one region on worker processes leaves the stepper
+    exactly where as many sequential-backend calls do: grid, sink,
+    iterations, window log and tile counters — after a segment cut short
+    by its limit (ending on either plane), and after an external edit and
+    reset() between segments."""
+    ref = ParallelFrontierStepper(
+        Grid2D.from_interior(interior), tile_size, k=k, nbands=nworkers
+    )
+    with ParallelFrontierStepper(
+        Grid2D.from_interior(interior), tile_size, k=k,
+        backend=ProcessBackend(nworkers, "dynamic"),
+    ) as proc:
+        assert proc.segmented
+        proc.advance(limit)
+        _calls(ref, limit)
+        assert np.array_equal(proc.grid.data, ref.grid.data)
+        assert _state(proc)[1:] == _state(ref)[1:]
+        y, x, grains = edit
+        for s in (proc, ref):
+            s.grid.interior[y % s.grid.height, x % s.grid.width] += grains
+            s.reset()
+        proc.advance(10**6)
+        _calls(ref, 10**6)
+        assert np.array_equal(proc.grid.data, ref.grid.data)
+        assert _state(proc)[1:] == _state(ref)[1:]
+        assert not ref()
+
+
+@needs_processes
+@pytest.mark.parametrize("k", [1, 2, 4])
+@pytest.mark.parametrize("nworkers", [1, 2, 3])
+def test_run_to_fixpoint_segments_match_sequential(k, nworkers):
+    """run_to_fixpoint on processes runs one segment; its result equals the
+    call-by-call sequential stepper's, on a window narrower than the
+    workers at first (one tile row of 8 for up to 3 workers)."""
+    base = center_pile(26, 26, 500)
+    ref = base.copy()
+    with ParallelFrontierStepper(ref, 8, k=k, nbands=nworkers) as st_ref:
+        calls = _drive(st_ref)
+    g = base.copy()
+    result = run_to_fixpoint(g, "sandpile", "pfrontier", tile_size=8, nworkers=nworkers, k=k)
+    assert np.array_equal(g.data, ref.data)
+    assert g.sink_absorbed == ref.sink_absorbed
+    assert result.iterations == calls * k
+    assert (result.tiles_computed, result.tiles_skipped) == (
+        st_ref.tiles_computed, st_ref.tiles_skipped,
+    )

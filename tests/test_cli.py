@@ -100,7 +100,7 @@ class TestChaosCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "easypap/kill-resume" in out
-        assert "19 scenario(s)" in out
+        assert "20 scenario(s)" in out
 
     def test_list_respects_filters(self, capsys):
         from repro.cli import chaos_main
