@@ -316,6 +316,14 @@ def certify_dynamic_frontier(
     disjoint), and the verdict additionally carries the
     :func:`~repro.analysis.halo.check_halo_depth` judgment that the
     window's growth-per-dispatch covers ``stencil radius x k`` sub-steps.
+
+    The run is in-process, so this certifies ``pfrontier``'s batch
+    schedule: the one its in-process steps run, and a process region
+    degraded to threads falls back to.  On worker processes ``pfrontier``
+    runs regions, whose contiguous tile-row shares and copy-forward writes
+    are not race-certified here; ``tests/sandpile/test_pfrontier.py::
+    test_segments_match_call_by_call_sequential`` checks them for
+    bit-identity with this schedule instead.
     """
     import numpy as np
 

@@ -95,22 +95,23 @@ def sandpile_main(argv: list[str] | None = None) -> int:
         "--max-retries",
         type=int,
         default=3,
-        help="process backend: attempts per tile batch before giving up "
-        "or falling back to threads (default 3)",
+        help="process backend (omp --backend process, pfrontier): attempts per "
+        "tile batch or parallel region, a retried region resuming from its last "
+        "step, before giving up or falling back to threads (default 3)",
     )
     p.add_argument(
         "--task-timeout",
         type=float,
         default=None,
         metavar="SECONDS",
-        help="process backend: wall-clock budget per batch attempt "
-        "(default: unbounded)",
+        help="process backend: wall-clock budget per batch attempt, or per "
+        "step of a parallel region (default: unbounded)",
     )
     p.add_argument(
         "--no-fallback",
         action="store_true",
-        help="process backend: fail hard after retries instead of degrading "
-        "to the thread backend",
+        help="process backend: fail hard when a batch or region runs out of "
+        "retries instead of finishing it on the thread backend",
     )
     p.add_argument("--ppm", metavar="PATH", help="write the final state as a PPM image")
     p.add_argument("--quiet", action="store_true")
@@ -140,14 +141,15 @@ def sandpile_main(argv: list[str] | None = None) -> int:
         opts["policy"] = args.policy
         opts["backend"] = args.backend
         opts["chunk"] = args.chunk
-        if args.backend == "process":
-            from repro.common.resilience import DegradationLog, RetryPolicy
+    # pfrontier runs on the process backend whatever --backend says
+    if args.variant == "pfrontier" or (args.variant == "omp" and args.backend == "process"):
+        from repro.common.resilience import DegradationLog, RetryPolicy
 
-            degradation = DegradationLog()
-            opts["retry"] = RetryPolicy(max_attempts=args.max_retries)
-            opts["task_timeout"] = args.task_timeout
-            opts["allow_fallback"] = not args.no_fallback
-            opts["degradation"] = degradation
+        degradation = DegradationLog()
+        opts["retry"] = RetryPolicy(max_attempts=args.max_retries)
+        opts["task_timeout"] = args.task_timeout
+        opts["allow_fallback"] = not args.no_fallback
+        opts["degradation"] = degradation
     result = run_to_fixpoint(grid, args.kernel, args.variant, **opts)
     print(
         f"{args.kernel}/{args.variant}: stable after {result.iterations} iterations, "
@@ -324,7 +326,12 @@ def check_main(argv: list[str] | None = None) -> int:
        per-iteration chunk plans of a real ``pfrontier`` run are statically
        checked and shadow-replayed (observed accesses must stay inside the
        declared footprints) — once at ``k=1`` and once at the fused
-       temporal-blocking depth (``--fused-k``, halo verdict included);
+       temporal-blocking depth (``--fused-k``, halo verdict included).
+       That is ``pfrontier``'s in-process batch schedule, which is also
+       what a degraded process region falls back to; a process region's
+       row shares and copy-forward writes are not race-certified
+       (``test_segments_match_call_by_call_sequential`` checks them for
+       bit-identity instead);
     5. halo-depth sufficiency and sendrecv pattern matching for the MPI
        ghost-cell variant.
     """

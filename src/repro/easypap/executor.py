@@ -248,8 +248,10 @@ class TaskBatch:
         its chunk plan bypasses the static-plan cache — and remembers this
         batch as its :attr:`base`: task *i* of the selection is task
         ``indices[i]`` here.  The process backend registers the base's spec
-        list once and ships a selection as index spans into it, so frontier
-        and lazy partials pickle no :class:`TileTask`.  Spans, returns and
+        list once and ships a selection as index spans into it, so the
+        ``omp`` steppers' lazy partials and waves pickle no
+        :class:`TileTask` (``pfrontier`` selects frontiers this way only in
+        process; on worker processes it runs regions).  Spans, returns and
         tile spans of the selection use its own task positions.
         """
         idx = list(indices)
@@ -968,7 +970,7 @@ def shutdown_idle_pool() -> int:
 
 
 class ProcessBackend(_TileTimeline):
-    """Run tile batches on persistent worker processes over shared planes.
+    """Run tile batches and parallel regions on persistent worker processes.
 
     Usage contract (what the tiled steppers implement):
 
@@ -979,7 +981,8 @@ class ProcessBackend(_TileTimeline):
        :meth:`Grid2D.swap_buffer <repro.easypap.grid.Grid2D.swap_buffer>`);
     3. per iteration, pass a :class:`TaskBatch` whose ``spec`` lists one
        :class:`TileTask` per task; per-task return values come back in
-       :attr:`ScheduleResult.returns`;
+       :attr:`ScheduleResult.returns`.  Or run a whole loop of iterations
+       as one :meth:`run_region`;
     4. :meth:`close` when done (also a context manager): it unlinks the
        planes and returns the lease.
 
@@ -996,74 +999,71 @@ class ProcessBackend(_TileTimeline):
     on their own after :data:`_IDLE_EXIT_S`; :func:`shutdown_idle_pool`
     stops them at once.
 
-    **Dispatch protocol.**  Batches with a stable
-    identity become *residents*: a non-dynamic spec batch is registered
-    once (its :class:`TileTask` list pickled a single time, keyed by batch
-    object identity), after which an iteration ships only
+    **Dispatch protocol.**  Batches with a stable identity become
+    *residents*: a non-dynamic spec batch is registered once (its
+    :class:`TileTask` list pickled a single time, keyed by batch object
+    identity), after which an iteration ships only
     ``("run", seq, epoch, batch_id, selection, plan)`` where the selection
     is a handful of index spans and ``plan`` carries the chunk bounds of a
-    claimed schedule.  A :meth:`TaskBatch.subset` — a frontier or lazy selection —
-    dispatches against its base's registration: its selection also names
-    the base index of each task.  ``seq`` is an epoch tag acting as the
-    barrier generation: the collect loop discards replies from earlier
-    attempts, and earlier leases of the set, so rebuilt pools can never
-    double-account a task.  Other
-    dynamic spec batches have no stable identity and ship oneshot
-    commands carrying ``(position, TileTask)`` items.
-
-    Chunks follow :func:`~repro.easypap.schedule.chunk_plan` exactly, and
-    each attempt sends at most one command per live worker:
-    ``static``/``cyclic`` chunks are pre-assigned to worker slots (chunk
-    *k* belongs to worker ``k % nworkers``) and shipped whole;
-    ``dynamic``/``guided`` attempts send every live worker (at most one
-    per chunk) the same command carrying the plan: the *j*-th commanded
-    worker starts on chunk *j*, and the remaining chunk ids wait, in plan
-    order, in a claim queue (a pipe shared by the workers) from which each
-    worker claims chunks until it is empty — OpenMP's shared-queue
-    ``dynamic``.  Starting every worker on its own chunk keeps a worker
-    that wakes first from taking the whole plan before the others read
-    their command.  A plan with more than :data:`_CLAIMS_PER_ROUND` chunks
-    runs in rounds of that many.
-
-    When ``fork`` or shared memory is unavailable the backend degrades to
-    a :class:`ThreadBackend` (``uses_processes`` is False and closures run
-    in-process); batches without a ``spec`` take the same thread path.
-
-    **Fault tolerance** (the real-hardware mirror of the simulated
-    cluster's re-execution story): a worker death mid-batch — surfaced as
-    ``BrokenProcessPool`` — does not lose the batch.  Replies already in
-    the dead worker's pipe are drained, live workers keep completing their
-    commands, then the pool is rebuilt: fresh workers re-attach the
-    still-live shared planes by name and **re-register every resident
-    batch** before the missing spans are re-submitted; tile kernels are
-    idempotent, so re-running one is safe.  Retries follow ``retry``
-    (a :class:`~repro.common.resilience.RetryPolicy`); each attempt may be
-    bounded by ``task_timeout`` seconds, after which hung workers are
-    terminated and the attempt counts as failed.  When retries are
-    exhausted, the still-missing tasks run on a thread pool in-process
-    (``allow_fallback=True``, the default) or a :class:`SchedulingError`
-    naming the unfinished tasks is raised (``allow_fallback=False``).  A
-    dead worker's unreported rows count as missing.  The claim queue is
-    empty after an attempt that succeeds (every worker stopped on an empty
-    queue), a failed one always rebuilds the pool, and a set is leased
-    only with an empty queue, so a stale chunk id never runs in a later
-    batch.
-    Every recovery step is recorded in ``degradation``
-    (a :class:`~repro.common.resilience.DegradationLog`) when one is
-    supplied.
+    claimed schedule.  A :meth:`TaskBatch.subset` — an ``omp`` lazy
+    partial or wave — dispatches against its base's registration: its
+    selection also names the base index of each task.  Other dynamic spec
+    batches have no stable identity and ship oneshot commands carrying
+    ``(position, TileTask)`` items.  Chunks follow
+    :func:`~repro.easypap.schedule.chunk_plan` exactly, and each attempt
+    sends at most one command per live worker: ``static``/``cyclic``
+    chunks are pre-assigned to worker slots (chunk *k* belongs to worker
+    ``k % nworkers``) and shipped whole; ``dynamic``/``guided`` attempts
+    send every live worker (at most one per chunk) the same command
+    carrying the plan: the *j*-th commanded worker starts on chunk *j*, and
+    the remaining chunk ids wait, in plan order, in a claim queue (a pipe
+    shared by the workers) from which each worker claims chunks until it
+    is empty — OpenMP's shared-queue ``dynamic``.  Starting every worker
+    on its own chunk keeps a worker that wakes first from taking the whole
+    plan before the others read their command.  A plan with more than
+    :data:`_CLAIMS_PER_ROUND` chunks runs in rounds of that many.
 
     **Parallel regions.**  :meth:`run_region` sends one ``region``
     command per participating worker: a module-level kernel and its
     arguments.  The workers then loop on their own, publishing each step
     to a double-buffered slot and meeting at a spin-then-block
     dissemination barrier; both, with an abort word, belong to the worker
-    set (:class:`_RegionShared`), made before its workers fork.  A worker
-    that dies, raises, or publishes nothing new for ``task_timeout``
-    seconds fails the attempt: the others are released from the barrier
-    and reply, the kernel's state is collected from the slots, and the
-    region is re-sent on a rebuilt set, per ``retry`` and then
-    ``allow_fallback`` as for batches.  ``pfrontier`` runs its fixpoint
-    loop this way (:mod:`repro.sandpile.pfrontier`).
+    set (:class:`_RegionShared`), made before its workers fork.
+    ``pfrontier`` runs its fixpoint loop this way
+    (:mod:`repro.sandpile.pfrontier`).
+
+    **One attempt loop.**  A batch attempt (each claim round of it) and a
+    region attempt post their commands and collect one reply per worker
+    the same way (:meth:`_round_trip`): ``seq`` tags every command, and
+    replies to an earlier attempt, or an earlier lease of the set, are
+    discarded, so a rebuilt pool can never double-account a task.  A
+    worker that is gone, dies (``BrokenProcessPool``; a reply already in
+    its pipe is still taken) or raises fails the attempt while the others
+    keep completing theirs, and so does ``task_timeout``: one deadline per
+    batch attempt, restarted on every step a region publishes; the first
+    failure cancels a region's barrier, so its survivors reply.  Every
+    failed attempt takes one retry ladder (:meth:`_with_retries`): the
+    pool is rebuilt — fresh workers re-attach the still-live planes and
+    **re-register every resident batch** — and the attempt is re-sent,
+    per ``retry`` (a :class:`~repro.common.resilience.RetryPolicy`).  A
+    batch re-submits only its missing tasks (tile kernels are idempotent;
+    a dead worker's unreported rows count as missing), a region resumes
+    from the slots its caller collected.  When retries are exhausted the
+    set is killed and the backend degrades to threads for good
+    (``allow_fallback=True``, the default: a batch runs its missing tasks
+    on a thread pool, a region returns False for its caller to finish in
+    process), or a :class:`SchedulingError` naming the unfinished tasks,
+    or the region, is raised.  The claim queue is empty after an attempt
+    that succeeds (every worker stopped on an empty queue), a failed one
+    always rebuilds the pool, and a set is leased only with an empty
+    queue, so a stale chunk id never runs in a later batch.  Every
+    recovery step is recorded in ``degradation`` (a
+    :class:`~repro.common.resilience.DegradationLog`) when one is
+    supplied.
+
+    When ``fork`` or shared memory is unavailable the backend degrades to
+    a :class:`ThreadBackend` (``uses_processes`` is False and closures run
+    in-process); batches without a ``spec`` take the same thread path.
 
     **Dispatch metrics.**  Pass ``metrics`` (a
     :class:`repro.obs.metrics.MetricsRegistry`) to count commands and
@@ -1137,7 +1137,8 @@ class ProcessBackend(_TileTimeline):
         self._spec_bids: "weakref.WeakKeyDictionary[TaskBatch, int]" = (
             weakref.WeakKeyDictionary()
         )
-        self._threads: ThreadBackend | None = None
+        #: the thread pool of the thread path and of the retry fallback
+        self._threads = ThreadBackend(nworkers)
         self._closed = False
         self._reported_thread_degradation = False
         self._degraded = False
@@ -1328,8 +1329,6 @@ class ProcessBackend(_TileTimeline):
             else:
                 reason = "batch carries no picklable TileTask spec"
             self._log_degradation("thread-execution", reason)
-        if self._threads is None:
-            self._threads = ThreadBackend(self.nworkers)
         result = self._threads.run(batch, iteration=iteration, kind=kind)
         self.record(result.spans, batch.tiles, iteration, kind)
         return result
@@ -1367,14 +1366,7 @@ class ProcessBackend(_TileTimeline):
         return (positions, index_spans([base[i] for i in idxs]))
 
     def _dispatch(
-        self,
-        batch: TaskBatch,
-        chunks,
-        missing: set[int],
-        epoch: float,
-        deadline: Deadline,
-        spans,
-        returns,
+        self, batch: TaskBatch, chunks, missing: set[int], epoch: float, take
     ) -> Exception | None:
         """Run one attempt of the command/collect protocol for *missing*.
 
@@ -1382,15 +1374,17 @@ class ProcessBackend(_TileTimeline):
         queue order (dynamic/guided); already-completed tasks are filtered
         out, so a retry re-submits only the spans still missing.  Each live
         worker gets at most one command per round (one round unless a
-        claimed plan exceeds :data:`_CLAIMS_PER_ROUND` chunks).  Returns the
+        claimed plan exceeds :data:`_CLAIMS_PER_ROUND` chunks), and
+        ``task_timeout`` bounds the attempt across its rounds.  Returns the
         first failure seen (or None).
         """
         bid = self._resident_for(batch)
         mode = "oneshot" if bid is None else "resident"
         ws = self._set
+        deadline = Deadline(self.task_timeout)
 
-        def command(payload, plan) -> bytes:
-            return pickle.dumps(("run", ws.seq, epoch, bid, payload, plan))
+        def command(idxs: list[int], plan) -> bytes:
+            return pickle.dumps(("run", ws.seq, epoch, bid, self._payload(batch, bid, idxs), plan))
 
         if self.policy in ("static", "cyclic"):
             # fixed assignment: each worker slot gets its chunk list whole
@@ -1398,18 +1392,8 @@ class ProcessBackend(_TileTimeline):
             for k, ch in enumerate(chunks):
                 per_worker[k % self.nworkers].extend(i for i in ch if i in missing)
             ws.seq += 1
-            failure: Exception | None = None
-            sends = []
-            for wk, idxs in zip(ws.workers, per_worker):
-                if not idxs:
-                    continue
-                if not wk.alive:
-                    failure = failure or BrokenProcessPool(
-                        f"worker {wk.wid} is gone; its chunks cannot run this attempt"
-                    )
-                    continue
-                sends.append((wk, command(self._payload(batch, bid, idxs), None)))
-            return self._exchange(sends, mode, epoch, deadline, spans, returns, missing) or failure
+            sends = [(wk, command(idxs, None)) for wk, idxs in zip(ws.workers, per_worker) if idxs]
+            return self._round_trip(sends, mode, epoch, deadline, take)
         # dynamic/guided: the workers claim chunk ids from the shared queue
         todo = [sel for ch in chunks if (sel := [i for i in ch if i in missing])]
         for lo in range(0, len(todo), _CLAIMS_PER_ROUND):
@@ -1421,100 +1405,162 @@ class ProcessBackend(_TileTimeline):
             os.write(ws.claims[1], _CLAIM_IDS[4 * len(live) : 4 * len(part)])
             ws.seq += 1
             buf = command(
-                self._payload(batch, bid, [i for sel in part for i in sel]),
+                [i for sel in part for i in sel],
                 (tuple(accumulate(map(len, part), initial=0)), tuple(wk.wid for wk in live)),
             )
-            failure = self._exchange(
-                [(wk, buf) for wk in live], mode, epoch, deadline, spans, returns, missing
-            )
+            failure = self._round_trip([(wk, buf) for wk in live], mode, epoch, deadline, take)
             if failure is not None:
                 return failure
         return None
 
-    def _exchange(
-        self, sends, mode: str, epoch: float, deadline: Deadline, spans, returns, missing
+    def _round_trip(
+        self, sends, mode: str, epoch: float, deadline: Deadline, take, shared=None
     ) -> Exception | None:
         """Post each ``(worker, command)`` of *sends*, then collect one reply
         per worker under the epoch-tagged barrier (tag: the leased set's ``seq``).
 
-        A dead worker fails only its own command — replies already in its
-        pipe are drained, and live workers keep completing, which is what
-        makes re-submitting *only* the missing spans possible.  Returns the
-        first failure seen (or None).
+        ``take(worker, payload)`` gets each reply to this ``seq`` and
+        returns when, after *epoch*, its first task (or region) started —
+        None if none did — for the queue-wait histogram; replies to earlier
+        commands are discarded.  A worker that is gone, dies or raises
+        fails the attempt; a reply a dead worker sent first is still taken,
+        and the others keep completing, which is what lets a batch
+        re-submit *only* its missing spans.  A batch attempt fails when
+        *deadline* passes.  For a region (*shared*: the set's
+        :class:`_RegionShared`) the deadline restarts whenever the last
+        step every participant published moves on, so ``task_timeout``
+        bounds a step; the first failure cancels the region, and the
+        survivors' replies are still collected, for another
+        ``task_timeout`` at most, since they carry what the kernel recorded
+        up to the step it stopped at.  Returns the first failure (or None).
         """
         seq = self._set.seq
+        what = "batch" if shared is None else "region"
         failure: Exception | None = None
         #: worker -> send offset from epoch, until its reply arrives
         waiting: dict[_Worker, float] = {}
         for wk, buf in sends:
-            try:
-                self._post(wk, buf, mode=mode)
-            except OSError:
-                wk.alive = False
-                failure = failure or BrokenProcessPool(
-                    f"worker {wk.wid} is gone; its chunks cannot run this attempt"
-                )
-                continue
-            waiting[wk] = time.perf_counter() - epoch
+            if wk.alive:
+                try:
+                    self._post(wk, buf, mode=mode)
+                    waiting[wk] = time.perf_counter() - epoch
+                    continue
+                except OSError:
+                    wk.alive = False
+            gone = "" if shared is not None else "; its chunks cannot run this attempt"
+            failure = failure or BrokenProcessPool(f"worker {wk.wid} is gone{gone}")
 
         def recv_one(wk: _Worker) -> bool:
             """Consume one reply from *wk*; False when the pipe is dead."""
             nonlocal failure
             try:
-                rseq, _rwid, rows, err = pickle.loads(wk.conn.recv_bytes())
+                rseq, _rwid, out, err = pickle.loads(wk.conn.recv_bytes())
             except (EOFError, OSError):
                 return False
-            if rseq != seq:  # stale reply from a pre-rebuild attempt
+            if rseq != seq:  # stale reply from an earlier command
                 return True
             send_off = waiting.pop(wk)
-            for idx, t0, t1, ret in rows:
-                spans[idx] = TaskSpan(idx, wk.wid, t0, t1)
-                returns[idx] = ret
-                missing.discard(idx)
-            if rows and self._m_wait is not None:
-                self._m_wait.observe(max(rows[0][1] - send_off, 0.0))
+            start = take(wk, out)
+            if start is not None and self._m_wait is not None:
+                self._m_wait.observe(max(start - send_off, 0.0))
             if err is not None:
                 failure = failure or err
             return True
 
-        def mark_dead(wk: _Worker) -> None:
-            nonlocal failure
-            # harvest whatever reply the worker managed to send first
-            wk.alive = False
-            try:
-                while wk in waiting and wk.conn.poll(0) and recv_one(wk):
-                    pass
-            except OSError:
-                pass
-            waiting.pop(wk, None)
-            failure = failure or BrokenProcessPool(
-                f"worker {wk.wid} (pid {wk.proc.pid}) died mid-batch"
-            )
-
+        cancelled = False
+        progress = -1
         while waiting:
+            if failure is not None and shared is not None and not cancelled:
+                shared.cancel()
+                cancelled = True
+                deadline = Deadline(self.task_timeout)
             conns = {wk.conn: wk for wk in waiting}
             sentinels = {wk.proc.sentinel: wk for wk in waiting}
             ready = multiprocessing.connection.wait(
                 list(conns) + list(sentinels), timeout=deadline.remaining()
             )
             if not ready:
-                failure = failure or SchedulingError(
-                    f"attempt exceeded task_timeout={self.task_timeout}s"
-                )
-                break
+                if shared is None or cancelled:
+                    # the workers still owed are hung: the rebuild kills them
+                    failure = failure or SchedulingError(
+                        f"attempt exceeded task_timeout={self.task_timeout}s"
+                    )
+                    break
+                now = shared.published(len(sends))
+                if now <= progress:
+                    failure = SchedulingError(
+                        f"region step {now + 1} exceeded task_timeout={self.task_timeout}s"
+                    )
+                progress = now
+                deadline = Deadline(self.task_timeout)
             for obj in ready:
                 wk = conns.get(obj) or sentinels[obj]
                 if wk not in waiting:  # answered (or buried) earlier in this loop
                     continue
-                if obj is wk.conn:
-                    if not recv_one(wk):
-                        mark_dead(wk)
-                else:
-                    mark_dead(wk)
+                if obj is wk.conn and recv_one(wk):
+                    continue
+                # dead: take a reply it managed to send first
+                wk.alive = False
+                try:
+                    while wk in waiting and wk.conn.poll(0) and recv_one(wk):
+                        pass
+                except OSError:
+                    pass
+                if waiting.pop(wk, None) is not None:
+                    failure = failure or BrokenProcessPool(
+                        f"worker {wk.wid} (pid {wk.proc.pid}) died mid-{what}"
+                    )
         return failure
 
+    def _with_retries(self, attempt, describe, tasks: set[int] | None = None) -> bool:
+        """Run ``attempt()`` on the leased set until one returns no failure.
+
+        Returns True then, with the set fit for a later lease.  Each failed
+        attempt is logged ``pool-rebuild`` and retried on a rebuilt set per
+        :attr:`retry`.  When retries are exhausted the set is killed, so no
+        half-dead worker writes into the shared planes, and either the
+        backend degrades to threads for good (``thread-fallback``; returns
+        False and the caller finishes the work in-process) or, without
+        ``allow_fallback``, ``give-up`` raises a :class:`SchedulingError`
+        ending in ``describe(failure)``.  *tasks*, the positions still
+        missing, is named in every log entry when given.
+        """
+        attempt_no = 1
+        while True:
+            ws = self._set
+            # an attempt that ends any other way leaves the set unfit for a later lease
+            ws.ok = False
+            failure = attempt()
+            if failure is None:
+                ws.ok = True
+                return True
+            detail = {} if tasks is None else {"tasks": sorted(tasks)}
+            if attempt_no >= self.retry.max_attempts:
+                self._teardown_pool()
+                if not self.allow_fallback:
+                    self._log_degradation(
+                        "give-up", f"retries exhausted: {failure}", attempt=attempt_no, **detail
+                    )
+                    raise SchedulingError(
+                        f"retries exhausted ({self.retry.max_attempts} attempts) and "
+                        f"fallback disabled: {describe(failure)}"
+                    ) from failure
+                self._log_degradation(
+                    "thread-fallback", f"retries exhausted: {failure}", attempt=attempt_no, **detail
+                )
+                # stay degraded: later batches take the thread path outright
+                self.uses_processes = False
+                self._degraded = True
+                return False
+            self._log_degradation(
+                "pool-rebuild", f"{type(failure).__name__}: {failure}", attempt=attempt_no, **detail
+            )
+            self.retry.sleep(attempt_no)
+            self._rebuild_pool()
+            attempt_no += 1
+
     def _fallback_to_threads(self, batch: TaskBatch, missing: set[int], spans, returns, epoch):
-        """Run the still-missing tasks in-process on a thread pool.
+        """Run the still-missing tasks in-process on the thread pool.
 
         The parent-side closures operate on the same shm-backed planes the
         workers were mutating, so completing them here preserves the
@@ -1531,12 +1577,11 @@ class ProcessBackend(_TileTimeline):
             return task
 
         base = time.perf_counter() - epoch
-        result = ThreadBackend(self.nworkers).run(TaskBatch([mk(i) for i in idxs]))
-        for s in result.spans:
+        for s in self._threads.run(TaskBatch([mk(i) for i in idxs])).spans:
             orig = idxs[s.task]
             spans[orig] = TaskSpan(orig, s.worker, base + s.start, base + s.end)
             returns[orig] = captured.get(orig)
-            missing.discard(orig)
+        missing.clear()
 
     def run(self, batch: TaskBatch, *, iteration: int = 0, kind: str = "compute") -> ScheduleResult:
         """Execute the batch; returns the schedule with per-task returns.
@@ -1559,55 +1604,28 @@ class ProcessBackend(_TileTimeline):
         missing: set[int] = set(range(n))
         if self._m_batches is not None and n:
             self._m_batches.inc()
-        attempt = 1
-        while missing:
-            deadline = Deadline(self.task_timeout)
-            ws = self._set
-            # an attempt that ends any other way leaves the set unfit for a later lease
-            ws.ok = False
-            failure = self._dispatch(batch, chunks, missing, epoch, deadline, spans, returns)
-            ws.ok = failure is None and not missing
-            if not missing:
-                break
-            if failure is None:
-                # every future completed yet spans are missing: a worker
+
+        def take(wk: _Worker, rows) -> float | None:
+            for idx, t0, t1, ret in rows:
+                spans[idx] = TaskSpan(idx, wk.wid, t0, t1)
+                returns[idx] = ret
+                missing.discard(idx)
+            return rows[0][1] if rows else None
+
+        def attempt() -> Exception | None:
+            failure = self._dispatch(batch, chunks, missing, epoch, take)
+            if failure is None and missing:
+                # every worker replied yet spans are missing: a worker
                 # returned fewer rows than it was handed — a kernel bug,
                 # not a crash, so retrying would loop forever
                 raise SchedulingError(self._describe_missing(batch, missing, chunks))
-            if attempt >= self.retry.max_attempts:
-                # leave no half-dead worker writing into the shared planes
-                self._teardown_pool()
-                if not self.allow_fallback:
-                    self._log_degradation(
-                        "give-up",
-                        f"retries exhausted: {failure}",
-                        attempt=attempt,
-                        tasks=sorted(missing),
-                    )
-                    raise SchedulingError(
-                        f"retries exhausted ({self.retry.max_attempts} attempts) and "
-                        f"fallback disabled: {self._describe_missing(batch, missing, chunks)}"
-                    ) from failure
-                self._log_degradation(
-                    "thread-fallback",
-                    f"retries exhausted: {failure}",
-                    attempt=attempt,
-                    tasks=sorted(missing),
-                )
-                self._fallback_to_threads(batch, missing, spans, returns, epoch)
-                # stay degraded: later batches take the thread path outright
-                self.uses_processes = False
-                self._degraded = True
-                break
-            self._log_degradation(
-                "pool-rebuild",
-                f"{type(failure).__name__}: {failure}",
-                attempt=attempt,
-                tasks=sorted(missing),
-            )
-            self.retry.sleep(attempt)
-            self._rebuild_pool()
-            attempt += 1
+            return failure if missing else None
+
+        def describe(_failure) -> str:
+            return self._describe_missing(batch, missing, chunks)
+
+        if missing and not self._with_retries(attempt, describe, missing):
+            self._fallback_to_threads(batch, missing, spans, returns, epoch)
         done = [s for s in spans if s is not None]
         if len(done) != n:  # pragma: no cover - all exits above fill or raise
             raise SchedulingError(
@@ -1643,146 +1661,42 @@ class ProcessBackend(_TileTimeline):
         participant's return value (None where no reply came), so it can
         advance the state that ``args()`` sends next.
 
-        A worker that dies, raises or makes no progress for
-        ``task_timeout`` seconds fails the attempt: the others are made to
-        leave at their next barrier and reply, then the set is rebuilt and
-        the region re-sent with the new ``args()`` — the kernel resumes
-        from its slots, per :attr:`retry`.  When retries are exhausted
-        the set is killed and, with ``allow_fallback``, the backend
-        degrades to threads and this returns False (the caller finishes
-        the work in-process); without it a :class:`SchedulingError` is
-        raised.  Returns True when an attempt succeeded.
+        A failed attempt — a worker that dies, raises or makes no progress
+        for ``task_timeout`` seconds — takes the same retry ladder as a
+        batch: the set is rebuilt and the region re-sent with the new
+        ``args()``, the kernel resuming from its slots.  Returns True when
+        an attempt succeeded, False when retries ran out and the backend
+        degraded to threads (the caller finishes the work in-process);
+        without ``allow_fallback`` a :class:`SchedulingError` is raised.
         """
         if self._closed:
             raise ConfigurationError("backend is closed")
         if self._set is None:
             raise SchedulingError("bind_planes() must be called before running a region")
         p = self.nworkers if nworkers is None else nworkers
-        attempt = 1
-        while True:
+
+        def attempt() -> Exception | None:
             ws = self._set
-            # an attempt that ends any other way leaves the set unfit for a later lease
-            ws.ok = False
-            values, failure = self._region_attempt(ws, fn, args(), p)
-            collect(ws.shared.published(p), ws.shared.slots.copy(), values)
-            if failure is None:
-                ws.ok = True
-                return True
-            if attempt >= self.retry.max_attempts:
-                self._teardown_pool()
-                if not self.allow_fallback:
-                    self._log_degradation(
-                        "give-up", f"retries exhausted: {failure}", attempt=attempt
-                    )
-                    raise SchedulingError(
-                        f"retries exhausted ({self.retry.max_attempts} attempts) and "
-                        f"fallback disabled: region {fn.__name__} failed: {failure}"
-                    ) from failure
-                self._log_degradation(
-                    "thread-fallback", f"retries exhausted: {failure}", attempt=attempt
-                )
-                self.uses_processes = False
-                self._degraded = True
-                return False
-            self._log_degradation(
-                "pool-rebuild", f"{type(failure).__name__}: {failure}", attempt=attempt
-            )
-            self.retry.sleep(attempt)
-            self._rebuild_pool()
-            attempt += 1
+            ws.shared.reset()
+            ws.seq += 1
+            epoch = time.perf_counter()
+            buf = pickle.dumps(("region", ws.seq, epoch, fn, p, args()))
+            values: list = [None] * p
 
-    def _region_attempt(self, ws: _WorkerSet, fn, args, p: int) -> tuple[list, Exception | None]:
-        """One region attempt on the first *p* workers of *ws*: ``(values, failure)``.
-
-        The attempt's deadline restarts whenever the last step every
-        participant published moves on, so ``task_timeout`` bounds a step,
-        not the region.  On the first failure the region is cancelled and
-        the survivors' replies are still collected (for another
-        ``task_timeout`` at most), since they carry what the kernel
-        recorded up to the step it stopped at.
-        """
-        shared = ws.shared
-        shared.reset()
-        ws.seq += 1
-        seq = ws.seq
-        epoch = time.perf_counter()
-        buf = pickle.dumps(("region", seq, epoch, fn, p, args))
-        values: list = [None] * p
-        failure: Exception | None = None
-        #: worker -> send offset from epoch, until its reply arrives
-        waiting: dict[_Worker, float] = {}
-        for wk in ws.workers[:p]:
-            if wk.alive:
-                try:
-                    self._post(wk, buf, mode="region")
-                except OSError:
-                    wk.alive = False
-            if not wk.alive:
-                failure = failure or BrokenProcessPool(f"worker {wk.wid} is gone")
-                continue
-            waiting[wk] = time.perf_counter() - epoch
-        if failure is not None:
-            shared.cancel()
-        deadline = Deadline(self.task_timeout)
-        progress = -1
-
-        def recv_one(wk: _Worker) -> bool:
-            """Consume one reply from *wk*; False when the pipe is dead."""
-            nonlocal failure
-            try:
-                rseq, _rwid, out, err = pickle.loads(wk.conn.recv_bytes())
-            except (EOFError, OSError):
-                return False
-            if rseq != seq:  # stale reply from an earlier command
-                return True
-            send_off = waiting.pop(wk)
-            if out is not None:
+            def take(wk: _Worker, out) -> float | None:
+                if out is None:
+                    return None
                 start, values[wk.wid] = out
-                if self._m_wait is not None:
-                    self._m_wait.observe(max(start - send_off, 0.0))
-            if err is not None:
-                failure = failure or err
-            return True
+                return start
 
-        while waiting:
-            cancelled = failure is not None
-            conns = {wk.conn: wk for wk in waiting}
-            sentinels = {wk.proc.sentinel: wk for wk in waiting}
-            ready = multiprocessing.connection.wait(
-                list(conns) + list(sentinels), timeout=deadline.remaining()
+            failure = self._round_trip(
+                [(wk, buf) for wk in ws.workers[:p]], "region", epoch,
+                Deadline(self.task_timeout), take, ws.shared,
             )
-            if not ready:
-                now = shared.published(p)
-                if cancelled:
-                    break  # the workers still owed are hung: the rebuild kills them
-                if now <= progress:
-                    failure = SchedulingError(
-                        f"region step {now + 1} exceeded task_timeout={self.task_timeout}s"
-                    )
-                progress = now
-            for obj in ready:
-                wk = conns.get(obj) or sentinels[obj]
-                if wk not in waiting:  # answered (or buried) earlier in this loop
-                    continue
-                if obj is wk.conn and recv_one(wk):
-                    continue
-                # dead: harvest a reply it managed to send first
-                wk.alive = False
-                try:
-                    while wk in waiting and wk.conn.poll(0) and recv_one(wk):
-                        pass
-                except OSError:
-                    pass
-                if waiting.pop(wk, None) is not None:
-                    failure = failure or BrokenProcessPool(
-                        f"worker {wk.wid} (pid {wk.proc.pid}) died mid-region"
-                    )
-            if failure is not None and not cancelled:
-                shared.cancel()
-                deadline = Deadline(self.task_timeout)
-            elif not ready:
-                deadline = Deadline(self.task_timeout)
-        return values, failure
+            collect(ws.shared.published(p), ws.shared.slots.copy(), values)
+            return failure
+
+        return self._with_retries(attempt, lambda exc: f"region {fn.__name__} failed: {exc}")
 
 
 def make_backend(

@@ -58,12 +58,15 @@ def make_closure_batch(p0, p1, tiles, spec):
 
 class TestWorkerCrashRecovery:
     @needs_processes
-    def test_kill_mid_batch_recovers_on_rebuilt_pool(self):
+    @pytest.mark.parametrize("policy", ["static", "cyclic", "dynamic", "guided"])
+    def test_kill_mid_batch_recovers_on_rebuilt_pool(self, policy):
+        """Pre-assigned (static/cyclic) and claimed (dynamic/guided) chunks
+        alike: the killed worker's tasks re-run on the rebuilt pool."""
         g, scratch, tiles, spec, expected = make_sync_setup()
         log = DegradationLog()
         injector = FaultInjector(kill_on_tasks={2}, max_fires=1)
         with ProcessBackend(
-            2, "dynamic", retry=FAST_RETRY, degradation=log, fault_injector=injector
+            2, policy, retry=FAST_RETRY, degradation=log, fault_injector=injector
         ) as be:
             p0, p1 = be.bind_planes(g.data, scratch)
             r = be.run(make_closure_batch(p0, p1, tiles, spec))
@@ -286,6 +289,54 @@ class TestRetryExhaustion:
             assert injector.fires == 1
             assert np.array_equal(p1[1:-1, 1:-1], expected.interior)
             assert be.uses_processes
+
+
+class TestBatchHang:
+    @needs_processes
+    def test_hang_past_task_timeout(self):
+        """A tile batch whose worker stalls fails its attempt after
+        ``task_timeout``; the stalled worker is killed, the missing task
+        re-runs on the rebuilt pool, and that pool is parked clean."""
+        import multiprocessing
+        import time
+
+        import repro.easypap.executor as executor
+
+        name = "tmp_stalling_sync_tile"
+        calls = multiprocessing.get_context("fork").Value("i", 0)
+        hung = multiprocessing.get_context("fork").Value("i", 0)
+        tile_kernel = executor.get_tile_kernel("sync_tile")
+
+        def stalling(planes, task):
+            with calls.get_lock():
+                calls.value += 1
+                stall = calls.value == 2
+            if stall:
+                hung.value = os.getpid()
+                time.sleep(60)
+            return tile_kernel(planes, task)
+
+        g, scratch, tiles, _, expected = make_sync_setup()
+        spec = [TileTask(name, 0, 1, t) for t in tiles]
+        log = DegradationLog()
+        executor.shutdown_idle_pool()
+        executor.register_tile_kernel(name, stalling)  # before the fork
+        try:
+            with ProcessBackend(
+                2, "dynamic", retry=FAST_RETRY, degradation=log, task_timeout=0.5
+            ) as be:
+                p0, p1 = be.bind_planes(g.data, scratch)
+                r = be.run(make_closure_batch(p0, p1, tiles, spec))
+                assert sorted(s.task for s in r.spans) == list(range(len(tiles)))
+                assert np.array_equal(p1[1:-1, 1:-1], expected.interior)
+                assert be.uses_processes
+        finally:
+            executor._TILE_KERNELS.pop(name, None)
+        (rebuild,) = log.by_action("pool-rebuild")
+        assert "task_timeout" in rebuild.reason
+        with pytest.raises(ProcessLookupError):
+            os.kill(hung.value, 0)  # killed and reaped, so not in the parked set
+        assert executor.shutdown_idle_pool() == 2  # the rebuilt set, clean
 
 
 class TestDiagnostics:

@@ -38,6 +38,33 @@ class TestSandpileCli:
         out = capsys.readouterr().out
         assert "\n" in out.strip()
 
+    def test_pfrontier_takes_the_process_backend_flags(self, monkeypatch, capsys):
+        """pfrontier always runs on worker processes, so the retry, timeout
+        and fallback flags reach it and its degradations are summarised."""
+        import repro.sandpile
+
+        seen = {}
+
+        def probe(grid, kernel, variant, **opts):
+            seen.update(opts)
+            opts["degradation"].record("ProcessBackend", "pool-rebuild", "probe")
+            return run_to_fixpoint(grid, kernel, variant, **opts)
+
+        run_to_fixpoint = repro.sandpile.run_to_fixpoint
+        monkeypatch.setattr(repro.sandpile, "run_to_fixpoint", probe)
+        rc = sandpile_main([
+            "--size", "16", "--grains", "300", "--variant", "pfrontier", "--nworkers", "2",
+            "--tile-size", "8", "--max-retries", "5", "--task-timeout", "30",
+            "--no-fallback", "--quiet",
+        ])
+        assert rc == 0
+        assert seen["retry"].max_attempts == 5
+        assert seen["task_timeout"] == 30.0
+        assert seen["allow_fallback"] is False
+        captured = capsys.readouterr()
+        assert "stable after" in captured.out
+        assert "degradations:" in captured.err and "pool-rebuild" in captured.err
+
 
 class TestStripesCli:
     def test_default_run(self, capsys):
