@@ -57,7 +57,7 @@ PF_FULL_FLOOR = 2.0
 PF_SOLO_CEIL = 1.3
 #: the shipped pfrontier configuration: one band per worker advancing
 #: PF_K fused iterations per step on the persistent-worker runtime
-PF_OPTS = {"policy": "static", "tile_size": 32, "k": PF_K}
+PF_OPTS = {"tile_size": 32, "k": PF_K}
 
 #: segment section: pfrontier on PF_SEG_WORKERS processes to the fixpoint of
 #: small grids (the sizes the repo benchmark's fixpoint-procs workload uses),
@@ -729,8 +729,8 @@ def test_hotpath_variants_bit_identical_small():
 
     oracle = stabilize(center_pile(32, 32, 600))
     extra = [
-        ("sandpile", "pfrontier", {"nworkers": 2, "policy": "dynamic"}),
-        ("sandpile", "pfrontier", {"nworkers": 2, "policy": "static", "k": PF_K}),
+        ("sandpile", "pfrontier", {"nworkers": 2}),
+        ("sandpile", "pfrontier", {"nworkers": 2, "k": PF_K}),
     ]
     for kernel, variant, opts in VARIANTS + extra:
         g = center_pile(32, 32, 600)

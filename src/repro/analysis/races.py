@@ -214,8 +214,7 @@ def check_phases(
     implicit barrier of the call returning (e.g. the async stepper's
     checkerboard waves).  *plans*, when given, supplies a pre-built chunk
     plan per phase (None entries fall back to the cached builder) — this is
-    how dynamic frontier schedules are certified against the exact plan the
-    backend executed.
+    how a frontier region step is certified, one chunk per participant.
     """
     conflicts: list[Conflict] = []
     ntasks = 0
@@ -253,7 +252,7 @@ def check_batch(
     demands a sound source (declaration or symbolic inference) and raises
     on kernels that have neither — certification paths use it so a verdict
     never rests on a single traced execution.  *plan* pins the exact chunk
-    plan to certify (dynamic frontier batches).
+    plan to certify (e.g. the ``omp`` steppers' dynamic lazy partials).
     """
     fps = [footprint_for(t, shape, allow_trace=allow_trace) for t in specs]
     return check_phases([fps], nworkers=nworkers, policy=policy, chunk=chunk, plans=[plan])

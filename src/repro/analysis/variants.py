@@ -33,6 +33,7 @@ Unmodelled variants fail certification: adding a new variant forces adding
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable
 
 from repro.analysis.footprint import Footprint, footprint_for, rect_cells
@@ -40,7 +41,7 @@ from repro.analysis.halo import HaloVerdict, check_halo_depth
 from repro.analysis.races import CrossCheck, RaceReport, check_phases, cross_check, dynamic_check
 from repro.easypap.executor import TileTask
 from repro.easypap.kernel import REGISTRY, KernelRegistry
-from repro.easypap.tiling import TileGrid
+from repro.easypap.tiling import Tile, TileGrid, deal
 
 __all__ = [
     "RACY_TAG",
@@ -50,6 +51,7 @@ __all__ = [
     "certify_variant",
     "certify_all",
     "certify_dynamic_frontier",
+    "check_region_shares",
     "FrontierCertification",
     "verdict_table",
 ]
@@ -157,11 +159,12 @@ _MODELS: dict[tuple[str, str], Callable[[int, int, int], list[list[Footprint]]]]
     ("sandpile", "tiled"): lambda h, w, ts: _tile_phases(h, w, ts, [sync_tile_specs(h, w, ts)]),
     ("sandpile", "lazy"): lambda h, w, ts: _tile_phases(h, w, ts, [sync_tile_specs(h, w, ts)]),
     ("sandpile", "omp"): lambda h, w, ts: _tile_phases(h, w, ts, [sync_tile_specs(h, w, ts)]),
-    # the frontier selection is a subset of the full tile batch, and under
-    # the adversarial dynamic policy every cross-task pair is potentially
-    # concurrent — so certifying the full batch is a sound upper bound for
-    # every per-iteration selection; certify_dynamic_frontier additionally
-    # checks the *actual* per-iteration plans of a real run
+    # at k = 1 a region step's shares are runs of whole tile rows of the
+    # frontier's cover, unions of the full batch's tiles, and under the
+    # adversarial dynamic policy every cross-task pair is potentially
+    # concurrent — so certifying the full batch bounds every step's shares;
+    # certify_dynamic_frontier additionally checks the *actual* per-step
+    # row shares of a real run, fused bands included
     ("sandpile", "pfrontier"): lambda h, w, ts: _tile_phases(h, w, ts, [sync_tile_specs(h, w, ts)]),
     ("sandpile", "split"): lambda h, w, ts: _tile_phases(h, w, ts, [sync_tile_specs(h, w, ts)]),
     ("asandpile", "seq"): lambda h, w, ts: async_cell_phase(h, w),
@@ -250,26 +253,24 @@ def certify_all(
 
 @dataclass
 class FrontierCertification:
-    """Verdict of certifying the per-iteration plans of a real frontier run.
+    """Verdict of certifying the per-step row shares of a real frontier run.
 
-    ``iterations`` counts the batches certified; ``dynamic_batches`` the
-    ones that went through the uncached dynamic-plan path; ``crosses``
-    holds one static-vs-shadow confrontation per iteration.  For fused runs
-    (``k > 1``) ``halo`` carries the temporal-blocking depth verdict: the
-    window growth per dispatch must cover ``stencil radius x k`` sub-steps.
+    ``iterations`` counts the region steps certified; ``crosses`` holds one
+    static-vs-shadow confrontation per step, over the shares the region
+    deals to ``nworkers`` participants.  For fused runs (``k > 1``)
+    ``halo`` carries the temporal-blocking depth verdict: the window growth
+    per step must cover ``stencil radius x k`` sub-steps.
     """
 
     iterations: int
-    dynamic_batches: int
     nworkers: int
-    policy: str
     crosses: list[CrossCheck] = field(default_factory=list)
     k: int = 1
     halo: "HaloVerdict | None" = None
 
     @property
     def ok(self) -> bool:
-        """Every plan race-free, shadow replays in-bounds, halo depth sound."""
+        """Every step's shares race-free, shadow replays in-bounds, halo depth sound."""
         if self.halo is not None and not self.halo.ok:
             return False
         return all(c.ok and not c.static.racy for c in self.crosses)
@@ -277,12 +278,51 @@ class FrontierCertification:
     def summary(self) -> str:
         """One-line verdict for CLI/CI output."""
         verdict = "race-free" if self.ok else "RACY/UNSOUND"
-        fused = f" k={self.k} fused, halo {'ok' if self.halo.ok else 'BAD'}," if self.halo else ""
+        fused = f"k={self.k} fused, halo {'ok' if self.halo.ok else 'BAD'}, " if self.halo else ""
         return (
-            f"dynamic frontier schedule: {verdict} over {self.iterations} dispatch(es) "
-            f"({self.dynamic_batches} dynamic batch(es),{fused} policy={self.policy} "
-            f"nworkers={self.nworkers})"
+            f"pfrontier region row shares: {verdict} over {self.iterations} step(s) "
+            f"({fused}nworkers={self.nworkers})"
         )
+
+
+def check_region_shares(shares: list[list[TileTask]], planes, *, iteration: int = 0) -> CrossCheck:
+    """Race-check one region step in which participant *w* runs ``shares[w]``.
+
+    Each participant is one chunk pinned to a worker of its own: tasks of
+    two participants may run at once, one participant's tasks never do.
+    The shares are checked against their declared footprints and
+    shadow-replayed on *planes* (mutated as the step mutates them), and the
+    two verdicts are confronted (:func:`~repro.analysis.races.cross_check`).
+    """
+    specs = [t for share in shares for t in share]
+    ends = list(accumulate(len(share) for share in shares))
+    plan = tuple(tuple(range(end - len(share), end)) for share, end in zip(shares, ends))
+    p = len(shares)
+    fps = [footprint_for(t, planes[0].shape) for t in specs]
+    static = check_phases([fps], nworkers=p, policy="static", plans=[plan])
+    dynamic, _trace = dynamic_check(
+        specs, planes, nworkers=p, policy="static", iteration=iteration, plan=plan
+    )
+    return cross_check(static, dynamic)
+
+
+def _step_shares(geo, window, src: int, nworkers: int) -> list[list[TileTask]]:
+    """The row runs a region step over *window* deals to each of *nworkers*
+    participants, by the kernel's own ``cover``/``rows``/``deal`` calls:
+    ``sync_tile_nc`` tasks (``sync_tile_k`` bands for k > 1) reading plane
+    *src* and writing the other."""
+    cover, _, shares, _ = geo.cover(window)
+    kernel, arg = ("sync_tile_nc", None) if geo.k == 1 else ("sync_tile_k", geo.k)
+    out = []
+    for w in range(nworkers):
+        lo, hi = deal(shares, nworkers, w)
+        runs = geo.rows(cover, shares, lo, hi) if lo < hi else []
+        out.append([
+            TileTask(kernel, src, 1 - src,
+                     Tile(w, w, 0, r0, cover[2], r1 - r0, cover[3] - cover[2]), arg=arg)
+            for r0, r1 in runs
+        ])
+    return out
 
 
 def certify_dynamic_frontier(
@@ -291,101 +331,72 @@ def certify_dynamic_frontier(
     width: int = 48,
     tile_size: int = 8,
     nworkers: int = 4,
-    policy: str = "dynamic",
-    chunk: int = 1,
     max_iterations: int = 200,
     k: int = 1,
     nbands: int | None = None,
 ) -> FrontierCertification:
-    """Certify the *actual* per-iteration schedules of a frontier run.
+    """Certify the row shares a real ``pfrontier`` run deals, step by step.
 
-    The whole-batch model in ``_MODELS`` proves any subset of the full tile
-    grid race-free; this goes further and checks the concrete artefacts:
-    a :class:`~repro.sandpile.pfrontier.ParallelFrontierStepper` is driven
-    to its fixpoint on a representative off-centre grid (so windows hit the
-    grid edge) while every submitted batch is captured together with the
-    exact chunk plan the backend would build for it — cached for the full
-    batch, :func:`~repro.easypap.schedule.dynamic_chunk_plan` for frontier
-    selections.  Each captured batch is statically checked under its plan
-    and shadow-replayed on the pre-step plane snapshot; the cross-check
-    demands every observed access stay inside the declared footprints.
+    A :class:`~repro.sandpile.pfrontier.ParallelFrontierStepper` is driven
+    to its fixpoint in process on a representative off-centre grid (so
+    windows hit the grid edge).  Before each step its region runs, the
+    step's window and source plane are taken from the region's arguments
+    and the pre-step planes copied; the row runs the region kernel deals
+    to ``nworkers`` participants that step (:func:`_step_shares`, with
+    ``nbands`` defaulting to ``nworkers``, as on a process backend of that
+    many workers) are then statically checked and shadow-replayed on the
+    copies (:func:`check_region_shares`); the cross-check demands every
+    observed access stay inside the declared footprints.
 
-    With ``k > 1`` the stepper submits fused ``sync_tile_k`` band batches;
-    the same machinery then certifies the temporal-blocking schedule (the
-    grown read trapezoids of concurrent bands overlap, but writes stay
+    With ``k > 1`` each share is one fused ``sync_tile_k`` band (the grown
+    read trapezoids of concurrent bands overlap, but writes stay
     disjoint), and the verdict additionally carries the
     :func:`~repro.analysis.halo.check_halo_depth` judgment that the
-    window's growth-per-dispatch covers ``stencil radius x k`` sub-steps.
+    window's growth per step covers ``stencil radius x k`` sub-steps.
 
-    The run is in-process, so this certifies ``pfrontier``'s batch
-    schedule: the one its in-process steps run, and a process region
-    degraded to threads falls back to.  On worker processes ``pfrontier``
-    runs regions, whose contiguous tile-row shares and copy-forward writes
-    are not race-certified here; ``tests/sandpile/test_pfrontier.py::
-    test_segments_match_call_by_call_sequential`` checks them for
-    bit-identity with this schedule instead.
+    The writes by which a participant carries the previous cover forward
+    are not race-certified here;
+    ``tests/sandpile/test_pfrontier.py::test_segments_match_call_by_call_sequential``
+    checks a process region, copies included, for bit-identity with the
+    in-process run instead.
     """
-    import numpy as np
-
-    from repro.easypap.executor import SequentialBackend, _plan_for
+    from repro.easypap.executor import SequentialBackend
     from repro.easypap.grid import Grid2D
+    from repro.sandpile.kernels import grow_window
     from repro.sandpile.pfrontier import ParallelFrontierStepper
 
-    captured: list[tuple[list[TileTask], tuple, list]] = []
-    dynamic_batches = 0
+    steps: list[tuple[list[list[TileTask]], list]] = []
 
     class _CapturingBackend(SequentialBackend):
-        planes: list = []
-
-        def run(self, batch, *, iteration=0, kind="compute"):
-            nonlocal dynamic_batches
-            plan = _plan_for(batch, nworkers, policy, chunk)
-            if batch.dynamic:
-                dynamic_batches += 1
-            captured.append(
-                (list(batch.spec), plan, [np.array(p) for p in self.planes])
-            )
-            return super().run(batch, iteration=iteration, kind=kind)
+        def run_region(self, fn, args, collect, **kw):
+            geo, _, live, step, _, bbox, _, _ = args()
+            window = grow_window(bbox, geo.height, geo.width, geo.k)
+            shares = _step_shares(geo, window, (live + step) % 2, nworkers)
+            steps.append((shares, [p.copy() for p in self._planes]))
+            super().run_region(fn, args, collect, **kw)
 
     grid = Grid2D(height, width)
-    # off-centre pile: the window crosses the edge, exercising clamped plans
+    # off-centre pile: the window crosses the edge, exercising clamped covers
     grid.interior[1, 1] = 6 * max(height, width)
     grid.interior[height // 2, width // 2] = 8
-    backend = _CapturingBackend()
-    if nbands is None and k > 1:
-        # the capturing backend is sequential (nworkers would default the
-        # band count to 1); certify the decomposition a real pool would run
-        nbands = nworkers
-    stepper = ParallelFrontierStepper(grid, tile_size, backend=backend, k=k, nbands=nbands)
-    backend.planes = stepper.planes
+    stepper = ParallelFrontierStepper(
+        grid, tile_size, backend=_CapturingBackend(), k=k,
+        nbands=nbands if nbands is not None else nworkers,
+    )
     for _ in range(max_iterations):
         if not stepper():
             break
 
-    shape = (height + 2, width + 2)
-    crosses: list[CrossCheck] = []
-    for it, (specs, plan, planes) in enumerate(captured):
-        fps = [footprint_for(t, shape) for t in specs]
-        static = check_phases(
-            [fps], nworkers=nworkers, policy=policy, chunk=chunk, plans=[plan]
-        )
-        dynamic, _trace = dynamic_check(
-            specs, planes, nworkers=nworkers, policy=policy, chunk=chunk,
-            iteration=it, plan=plan,
-        )
-        crosses.append(cross_check(static, dynamic))
+    crosses = [
+        check_region_shares(shares, planes, iteration=it)
+        for it, (shares, planes) in enumerate(steps)
+    ]
     halo: HaloVerdict | None = None
     if k > 1:
-        # one dispatch advances k radius-1 sub-steps on a window grown by k
+        # one step advances k radius-1 sub-steps on a window grown by k
         halo = check_halo_depth(k, stencil_radius=1, iterations_between_exchanges=k)
     return FrontierCertification(
-        iterations=len(captured),
-        dynamic_batches=dynamic_batches,
-        nworkers=nworkers,
-        policy=policy,
-        crosses=crosses,
-        k=k,
-        halo=halo,
+        iterations=len(steps), nworkers=nworkers, crosses=crosses, k=k, halo=halo
     )
 
 

@@ -301,8 +301,9 @@ def _run_easypap_pool(sc: Scenario, n: int, tile: int, want: tuple) -> list[str]
             retry=RetryPolicy(max_attempts=1), degradation=log,
         )
         with job:
-            # worker 0 takes the first chunk of every batch: the next step
-            # finds it dead and, with one attempt, falls back to threads
+            # worker 0 has a share of every region step (the deal gives it
+            # the first rows): the next step finds it dead and, with one
+            # attempt, the backend finishes the step in process
             os.kill(job.stepper.backend.worker_pids[0], signal.SIGKILL)
             check(job.run())
         if not log.by_action("thread-fallback"):
@@ -310,7 +311,8 @@ def _run_easypap_pool(sc: Scenario, n: int, tile: int, want: tuple) -> list[str]
         if run() & failed:
             violations.append("fresh-lease")
     elif sc.kind == "pool-isolation":
-        # a smaller grid with fused bands first: both jobs register resident 0
+        # a smaller grid with fused bands first: the second job leases the
+        # same set, attached to planes of another shape
         small = n // 2 + 4
         base = SandpileJob(_easypap_grid(sc.seed, small), variant="frontier").run()
         first = run(small, (base["sink_absorbed"], base["grid"].tobytes()), k=2)

@@ -74,15 +74,17 @@ def sandpile_main(argv: list[str] | None = None) -> int:
     )
     p.add_argument("--tile-size", type=int, default=32)
     p.add_argument("--nworkers", type=int, default=4)
-    p.add_argument("--policy", default="dynamic")
+    p.add_argument("--policy", default="dynamic", help="omp: chunk scheduling policy")
     p.add_argument(
         "--backend",
-        default="simulated",
         choices=["sequential", "simulated", "threads", "process"],
-        help="executor for the omp variant: virtual workers (simulated), a real "
-        "thread pool, or real worker processes over shared memory (process)",
+        help="executor for omp: virtual workers (simulated, its default), a real "
+        "thread pool, or real worker processes over shared memory (process); "
+        "pfrontier runs on process (its default) or sequential, in process",
     )
-    p.add_argument("--chunk", type=int, default=1, help="chunk size for cyclic/dynamic/guided")
+    p.add_argument(
+        "--chunk", type=int, default=1, help="omp: chunk size for cyclic/dynamic/guided"
+    )
     p.add_argument(
         "--fused-k",
         type=int,
@@ -97,7 +99,7 @@ def sandpile_main(argv: list[str] | None = None) -> int:
         default=3,
         help="process backend (omp --backend process, pfrontier): attempts per "
         "tile batch or parallel region, a retried region resuming from its last "
-        "step, before giving up or falling back to threads (default 3)",
+        "step, before giving up or falling back to the parent (default 3)",
     )
     p.add_argument(
         "--task-timeout",
@@ -111,7 +113,8 @@ def sandpile_main(argv: list[str] | None = None) -> int:
         "--no-fallback",
         action="store_true",
         help="process backend: fail hard when a batch or region runs out of "
-        "retries instead of finishing it on the thread backend",
+        "retries instead of finishing it in the parent (a batch on threads, "
+        "a region in process)",
     )
     p.add_argument("--ppm", metavar="PATH", help="write the final state as a PPM image")
     p.add_argument("--quiet", action="store_true")
@@ -133,16 +136,18 @@ def sandpile_main(argv: list[str] | None = None) -> int:
     degradation = None
     if args.variant in ("tiled", "lazy", "omp", "split", "pfrontier"):
         opts["tile_size"] = args.tile_size
-    if args.variant == "pfrontier":
+    if args.variant in ("omp", "pfrontier"):
         opts["nworkers"] = args.nworkers
+        if args.backend is not None:
+            opts["backend"] = args.backend
+    if args.variant == "pfrontier":
         opts["k"] = args.fused_k
     if args.variant == "omp":
-        opts["nworkers"] = args.nworkers
         opts["policy"] = args.policy
-        opts["backend"] = args.backend
         opts["chunk"] = args.chunk
-    # pfrontier runs on the process backend whatever --backend says
-    if args.variant == "pfrontier" or (args.variant == "omp" and args.backend == "process"):
+    # the resilience knobs reach the process backend: omp's with --backend
+    # process, pfrontier's unless --backend says otherwise
+    if opts.get("backend", "process" if args.variant == "pfrontier" else None) == "process":
         from repro.common.resilience import DegradationLog, RetryPolicy
 
         degradation = DegradationLog()
@@ -322,14 +327,13 @@ def check_main(argv: list[str] | None = None) -> int:
        each verdict must match the variant's registered expectation
        (``racy-by-design`` variants must be flagged, everything else must
        certify conflict-free);
-    4. dynamic-schedule certification of the parallel frontier: the exact
-       per-iteration chunk plans of a real ``pfrontier`` run are statically
-       checked and shadow-replayed (observed accesses must stay inside the
-       declared footprints) — once at ``k=1`` and once at the fused
+    4. certification of the parallel frontier's region shares: for each
+       step of a real ``pfrontier`` run, the row runs the region deals to
+       ``--nworkers`` participants are statically checked and
+       shadow-replayed (observed accesses must stay inside the declared
+       footprints) — once at ``k=1`` and once at the fused
        temporal-blocking depth (``--fused-k``, halo verdict included).
-       That is ``pfrontier``'s in-process batch schedule, which is also
-       what a degraded process region falls back to; a process region's
-       row shares and copy-forward writes are not race-certified
+       The participants' copy-forward writes are not race-certified
        (``test_segments_match_call_by_call_sequential`` checks them for
        bit-identity instead);
     5. halo-depth sufficiency and sendrecv pattern matching for the MPI
@@ -356,8 +360,8 @@ def check_main(argv: list[str] | None = None) -> int:
     p.add_argument(
         "--policy",
         default="dynamic",
-        help="chunk-plan policy to certify under (dynamic chunk=1 is the "
-        "adversarial superset of all policies; default dynamic)",
+        help="chunk-plan policy to certify the variants under (dynamic chunk=1 "
+        "is the adversarial superset of all policies; default dynamic)",
     )
     p.add_argument("--chunk", type=int, default=1)
     p.add_argument(
@@ -372,7 +376,7 @@ def check_main(argv: list[str] | None = None) -> int:
                    help="skip symbolic footprint verification/certification")
     p.add_argument("--skip-races", action="store_true")
     p.add_argument("--skip-dynamic", action="store_true",
-                   help="skip the dynamic frontier-schedule certification")
+                   help="skip the pfrontier region-share certification")
     p.add_argument("--skip-halo", action="store_true")
     args = p.parse_args(argv)
 
@@ -414,9 +418,7 @@ def check_main(argv: list[str] | None = None) -> int:
 
     if not args.skip_dynamic:
         for k in (1, args.fused_k):
-            cert = certify_dynamic_frontier(
-                nworkers=args.nworkers, policy=args.policy, chunk=args.chunk, k=k
-            )
+            cert = certify_dynamic_frontier(nworkers=args.nworkers, k=k)
             print(cert.summary())
             if not cert.ok:
                 failed = True

@@ -35,6 +35,10 @@ assignment's needs:
   ``fork`` or shared memory is unavailable it degrades gracefully to a
   :class:`ThreadBackend`.
 
+A region runs in process with the calling thread as its one participant:
+that is how :class:`SequentialBackend` runs one, and how a
+:class:`ProcessBackend` without ``fork``, or out of retries, finishes one.
+
 All backends return the executed :class:`~repro.easypap.schedule.TaskSpan`
 list and, given a :class:`~repro.obs.tracer.Tracer`, record one span per
 executed tile (:func:`add_tile_span`).
@@ -250,9 +254,8 @@ class TaskBatch:
         ``indices[i]`` here.  The process backend registers the base's spec
         list once and ships a selection as index spans into it, so the
         ``omp`` steppers' lazy partials and waves pickle no
-        :class:`TileTask` (``pfrontier`` selects frontiers this way only in
-        process; on worker processes it runs regions).  Spans, returns and
-        tile spans of the selection use its own task positions.
+        :class:`TileTask`.  Spans, returns and tile spans of the selection
+        use its own task positions.
         """
         idx = list(indices)
         if any(b <= a for a, b in zip(idx, idx[1:])):
@@ -364,6 +367,17 @@ class SequentialBackend(_TileTimeline):
 
     def __init__(self, *, trace: Tracer | None = None) -> None:
         self.trace = trace
+        self._planes: list[np.ndarray] = []
+
+    def bind_planes(self, *arrays: np.ndarray) -> list[np.ndarray]:
+        """Keep *arrays* as the planes a region steps on; returns them unchanged."""
+        self._planes = list(arrays)
+        return list(arrays)
+
+    def run_region(self, fn, args, collect, *, nworkers: int | None = None) -> None:
+        """Run the region kernel *fn* in process, the calling thread its one
+        participant whatever *nworkers* asks (see :meth:`ProcessBackend.run_region`)."""
+        _run_region_alone(fn, args, collect, self._planes)
 
     def run(self, batch: TaskBatch, *, iteration: int = 0, kind: str = "compute") -> ScheduleResult:
         """Execute the batch; returns the resulting schedule placement."""
@@ -635,7 +649,8 @@ class RegionContext:
     """
 
     def __init__(
-        self, shared: _RegionShared, wid: int, nworkers: int, planes, injector, epoch, parent: int
+        self, shared: _RegionShared, wid: int, nworkers: int, planes, injector, epoch,
+        parent: int | None,
     ):
         #: this worker's index among the region's participants
         self.wid = wid
@@ -677,9 +692,11 @@ class RegionContext:
 
         A worker whose parent is gone exits here, at every barrier and every
         :data:`_IDLE_EXIT_S` while blocked: no one will read the rest of
-        the region, and nothing else would wake a blocked worker.
+        the region, and nothing else would wake a blocked worker.  The
+        in-process participant (*parent* None) has no parent to watch: its
+        own process reads the region.
         """
-        if os.getppid() != self._parent:
+        if self._parent is not None and os.getppid() != self._parent:
             os._exit(1)
         for post, own in self._rounds:
             post.release()
@@ -691,6 +708,26 @@ class RegionContext:
                     if os.getppid() != self._parent:
                         os._exit(1)
         return not 0 <= self._shared.abort[0] <= step
+
+
+def _run_region_alone(fn, args, collect, planes: list[np.ndarray]) -> None:
+    """Run the region kernel *fn* on *planes* as its one participant, in process.
+
+    The calling thread is participant 0 of 1: ``_RegionShared(None, 1)``
+    makes no semaphore, so every barrier returns at once, and there is no
+    fault injector and no parent to watch.  ``collect(step, slots,
+    [value])`` is called as :meth:`ProcessBackend.run_region` calls it,
+    also when *fn* raises, so the caller keeps the steps it published.
+    """
+    if not planes:
+        raise SchedulingError("bind_planes() must be called before running a region")
+    shared = _RegionShared(None, 1)
+    shared.reset()
+    value = None
+    try:
+        value = fn(RegionContext(shared, 0, 1, planes, None, time.perf_counter(), None), args())
+    finally:
+        collect(shared.published(1), shared.slots, [value])
 
 
 def _worker_main(
@@ -1051,19 +1088,20 @@ class ProcessBackend(_TileTimeline):
     from the slots its caller collected.  When retries are exhausted the
     set is killed and the backend degrades to threads for good
     (``allow_fallback=True``, the default: a batch runs its missing tasks
-    on a thread pool, a region returns False for its caller to finish in
-    process), or a :class:`SchedulingError` naming the unfinished tasks,
-    or the region, is raised.  The claim queue is empty after an attempt
-    that succeeds (every worker stopped on an empty queue), a failed one
-    always rebuilds the pool, and a set is leased only with an empty
-    queue, so a stale chunk id never runs in a later batch.  Every
-    recovery step is recorded in ``degradation`` (a
+    on a thread pool, a region finishes in process, the calling thread
+    its one participant), or a :class:`SchedulingError` naming the
+    unfinished tasks, or the region, is raised.  The claim queue is empty
+    after an attempt that succeeds (every worker stopped on an empty
+    queue), a failed one always rebuilds the pool, and a set is leased
+    only with an empty queue, so a stale chunk id never runs in a later
+    batch.  Every recovery step is recorded in ``degradation`` (a
     :class:`~repro.common.resilience.DegradationLog`) when one is
     supplied.
 
     When ``fork`` or shared memory is unavailable the backend degrades to
     a :class:`ThreadBackend` (``uses_processes`` is False and closures run
-    in-process); batches without a ``spec`` take the same thread path.
+    in-process) and regions run in process; batches without a ``spec``
+    take the same thread path.
 
     **Dispatch metrics.**  Pass ``metrics`` (a
     :class:`repro.obs.metrics.MetricsRegistry`) to count commands and
@@ -1168,11 +1206,13 @@ class ProcessBackend(_TileTimeline):
         Returns shm-backed arrays of identical shape/dtype/contents; the
         caller must use these in place of the originals so parent-side
         writes are visible to the workers.  In fallback mode this is a
-        no-op returning the arrays unchanged.
+        no-op returning the arrays unchanged (regions then run on them in
+        process).
         """
         if self._closed:
             raise ConfigurationError("backend is closed")
         if not self.uses_processes:
+            self._planes = list(arrays)
             return list(arrays)
         from multiprocessing import shared_memory
 
@@ -1319,7 +1359,8 @@ class ProcessBackend(_TileTimeline):
         if self.degradation is not None:
             self.degradation.record("ProcessBackend", action, reason, attempt=attempt, **detail)
 
-    def _run_threads(self, batch: TaskBatch, iteration: int, kind: str) -> ScheduleResult:
+    def _report_off_processes(self) -> None:
+        """Log ``thread-execution`` the first time work runs in the parent."""
         if not self._reported_thread_degradation:
             self._reported_thread_degradation = True
             if self._degraded:
@@ -1329,6 +1370,9 @@ class ProcessBackend(_TileTimeline):
             else:
                 reason = "batch carries no picklable TileTask spec"
             self._log_degradation("thread-execution", reason)
+
+    def _run_threads(self, batch: TaskBatch, iteration: int, kind: str) -> ScheduleResult:
+        self._report_off_processes()
         result = self._threads.run(batch, iteration=iteration, kind=kind)
         self.record(result.spans, batch.tiles, iteration, kind)
         return result
@@ -1650,7 +1694,7 @@ class ProcessBackend(_TileTimeline):
         collect: Callable[[int, np.ndarray, list], None],
         *,
         nworkers: int | None = None,
-    ) -> bool:
+    ) -> None:
         """Run the region kernel *fn* on the first *nworkers* leased workers.
 
         One ``region`` command per participant ships ``fn`` (pickled by
@@ -1658,20 +1702,22 @@ class ProcessBackend(_TileTimeline):
         :class:`RegionContext`) and replies once.  After every attempt,
         ``collect(step, slots, values)`` gets the last step every
         participant published (-1: none), a copy of their slots and each
-        participant's return value (None where no reply came), so it can
-        advance the state that ``args()`` sends next.
+        participant's return value (None where no reply came; one entry
+        per participant), so it can advance the state that ``args()``
+        sends next.
 
         A failed attempt — a worker that dies, raises or makes no progress
         for ``task_timeout`` seconds — takes the same retry ladder as a
         batch: the set is rebuilt and the region re-sent with the new
-        ``args()``, the kernel resuming from its slots.  Returns True when
-        an attempt succeeded, False when retries ran out and the backend
-        degraded to threads (the caller finishes the work in-process);
-        without ``allow_fallback`` a :class:`SchedulingError` is raised.
+        ``args()``, the kernel resuming from its slots.  When retries run
+        out the backend degrades for good and the region finishes in
+        process, the calling thread its one participant, as it runs on a
+        host without ``fork``; without ``allow_fallback`` a
+        :class:`SchedulingError` is raised.
         """
         if self._closed:
             raise ConfigurationError("backend is closed")
-        if self._set is None:
+        if self.uses_processes and self._set is None:
             raise SchedulingError("bind_planes() must be called before running a region")
         p = self.nworkers if nworkers is None else nworkers
 
@@ -1696,7 +1742,11 @@ class ProcessBackend(_TileTimeline):
             collect(ws.shared.published(p), ws.shared.slots.copy(), values)
             return failure
 
-        return self._with_retries(attempt, lambda exc: f"region {fn.__name__} failed: {exc}")
+        if not self.uses_processes or not self._with_retries(
+            attempt, lambda exc: f"region {fn.__name__} failed: {exc}"
+        ):
+            self._report_off_processes()
+            _run_region_alone(fn, args, collect, self._planes)
 
 
 def make_backend(

@@ -14,9 +14,10 @@ grid.  That is exact for every variant because the frontier window is a
 pure function of the grid — the bbox rescan invariant guarantees a
 full-grid ``unstable_bbox`` scan on the restored plane equals the window
 an uninterrupted run would carry (cells outside the old window cannot be
-unstable), and the pfrontier scratch plane never holds live state between
-iterations (copy-back takes only the window).  Resumed runs are therefore
-bit-identical, which the chaos kill-and-resume scenario asserts.
+unstable), and a rebuilt pfrontier stepper starts both of its planes from
+the restored one (its other plane only ever holds the step before, which
+no later step reads).  Resumed runs are therefore bit-identical, which the
+chaos kill-and-resume scenario asserts.
 """
 
 from __future__ import annotations
@@ -61,10 +62,10 @@ class SandpileJob(Job):
     *max_iterations* raises ``SimulationError``.
 
     :meth:`step` is one stepper call.  :meth:`advance` is one *segment*:
-    when the stepper runs segments as parallel regions (``pfrontier`` on
-    the process backend, known once the stepper is built) it asks for all
-    iterations left within *max_iterations* at once, else it is
-    :meth:`step`.  Both count iterations exactly alike.
+    when the stepper takes segments (it has ``advance(limit)``, as
+    ``pfrontier`` does on every backend) it asks for all iterations left
+    within *max_iterations* at once, else it is :meth:`step`.  Both count
+    iterations exactly alike.
 
     The synchronous family is double-buffered (writes land off-plane
     until commit), so a raised step leaves the live plane intact and
@@ -98,7 +99,7 @@ class SandpileJob(Job):
         #: the live stepper: built on the first step, dropped by close()
         self.stepper = None
         self._k = 1
-        self._segmented = False
+        self._takes_segments = False
         #: spec params when built via from_spec; None for direct-grid jobs
         self._spec_params: dict | None = None
         # construction-time grid digest: the describe() fallback for jobs
@@ -188,7 +189,7 @@ class SandpileJob(Job):
         if stepper is None:
             stepper = self.stepper = self._factory(self.grid, **self.options)
             self._k = getattr(stepper, "k", 1)
-            self._segmented = getattr(stepper, "segmented", False)
+            self._takes_segments = hasattr(stepper, "advance")
         return stepper
 
     def step(self) -> bool:
@@ -207,7 +208,7 @@ class SandpileJob(Job):
         """
         if self.stepper is None and not self._done:
             self._stepper()  # built now, it tells whether it takes segments
-        if not self._segmented or self._done:
+        if not self._takes_segments or self._done:
             return self.step()
         limit = self.max_iterations - self.iterations
         ran = self._stepper().advance(limit)

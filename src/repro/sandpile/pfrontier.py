@@ -8,58 +8,55 @@ synchronous step) are computed, so work follows the bbox as it moves.
 
 Key design points:
 
-* **A parallel region around the fixpoint loop (process backend).**  A
-  *segment* of up to ``limit`` grid iterations is one ``region`` command
-  per worker (:meth:`~repro.easypap.executor.ProcessBackend.run_region`),
-  the OpenMP ``parallel`` region around the loop rather than a
-  ``parallel for`` per iteration.  The workers step on their own over the
-  two shared planes, ping-pong: step *i* reads plane ``i % 2`` and writes
-  the other.  Each step, each worker computes its contiguous tile rows of
-  the window's tile cover as one merged gather (``k == 1``) or its
+* **A parallel region around the fixpoint loop.**  A *segment* of up to
+  ``limit`` grid iterations is one run of the region kernel
+  :func:`_frontier_region` (``backend.run_region``), the OpenMP
+  ``parallel`` region around the loop rather than a ``parallel for`` per
+  iteration.  The participants step on their own over the two bound
+  planes, ping-pong: step *i* reads plane ``i % 2`` and writes the
+  other.  Each step, each participant computes its contiguous tile rows
+  of the window's tile cover as one merged gather (``k == 1``) or its
   :func:`~repro.easypap.tiling.band_tiles` band(s) of the window as one
-  fused trapezoid (``k > 1``) — contiguous rows whatever ``policy`` the
-  backend was given — then copies forward its rows of the previous cover
-  that left the cover, so both planes agree outside it; publishes its
-  unstable bbox, sink deficit and counters to its slot, and meets the
-  others at the barrier, after which every worker derives the same next
-  window from the slots.  The segment ends at the fixpoint or at its step
-  limit (the last step skips the barrier) with one reply per worker
-  carrying the window log (and the per-step times when the backend
-  traces); the grid then takes the plane the last step wrote
-  (:meth:`~repro.easypap.grid.Grid2D.swap_buffer`, as a double-buffered
-  stepper flips), so no copy ever writes a plane a peer may still read,
-  and the next segment carries on from the last cover, outside which both
-  planes agree.  :meth:`ParallelFrontierStepper.advance` runs one
-  segment; a plain call is a one-step region that commands only the
-  workers with rows to compute.
+  fused trapezoid (``k > 1``), then copies forward its rows of the
+  previous cover that left the cover, so both planes agree outside it;
+  publishes its unstable bbox, sink deficit and counters to its slot,
+  and meets the others at the barrier, after which every participant
+  derives the same next window from the slots.  The segment ends at the
+  fixpoint or at its step limit (the last step skips the barrier) with
+  one return value per participant carrying the window log (and the
+  per-step times when the backend traces); the grid then takes the
+  plane the last step wrote (:meth:`~repro.easypap.grid.Grid2D.swap_buffer`,
+  as a double-buffered stepper flips), so no copy ever writes a plane a
+  peer may still read, and the next segment carries on from the last
+  cover, outside which both planes agree.
+  :meth:`ParallelFrontierStepper.advance` runs one segment; a plain call
+  is a one-step region that asks only for the participants with rows.
+* **One kernel on every backend.**  On the process backend
+  (:meth:`~repro.easypap.executor.ProcessBackend.run_region`) each worker
+  is a participant, sent one ``region`` command per segment.  The
+  sequential backend runs the same kernel in process, the calling thread
+  its one participant computing every share of each step, and so does a
+  process backend without ``fork`` or out of retries.  The region's
+  row shares are what ``repro-check`` certifies
+  (:func:`~repro.analysis.variants.certify_dynamic_frontier`).
 * **Resume from the slots.**  If a worker dies, raises or stalls
   mid-segment, the backend rebuilds its set and the segment resumes from
   the last step every worker published: that step's output plane is only
   read by the next step, so re-running the next step is exact, and its
   slots carry the bbox, the cover and the counters to resume with.  When
-  retries are exhausted the segment finishes in-process on the thread
-  fallback.
-* **In process: single live plane + scratch, no parity flip.**  Off the
-  process backend (and after degradation) each step is a
-  :class:`~repro.easypap.executor.TaskBatch` of the window's tiles: tasks
-  read plane 0 (the live grid) and write plane 1 — a pure gather, so any
-  schedule is race-free — and the parent copies the *window* back.
-  Closures and picklable :class:`~repro.easypap.executor.TileTask` specs
-  are built once, indexed by tile id; a shrinking frontier is a
-  :meth:`~repro.easypap.executor.TaskBatch.subset` of the all-tiles batch
-  (``dynamic=True``, so it bypasses the static-plan LRU).  The analysis
-  layer certifies exactly these batches.
-* **Optional compiled inner loop.**  With ``use_compiled=True`` tiles run
-  the ``sync_tile_cnc``/``sync_tile_kc`` kernels from
+  retries are exhausted the backend finishes the segment in process.
+* **Optional compiled inner loop.**  With ``use_compiled=True`` shares
+  run the ``sync_window``/``sync_window_k`` loops from
   :mod:`repro.sandpile.compiled` — numba-fused when the ``[compiled]``
   extra is installed, bit-identical pure NumPy otherwise.
 * **Temporal blocking (``k > 1``).**  With fused step count *k* each
   step advances the grid *k* iterations: the window is the bbox grown by
   ``k`` (halo depth ``radius x k``), cut into ``nbands`` row bands (one
-  per worker by default), each running the ``sync_tile_k``/``sync_tile_kc``
-  trapezoid.  A step reports progress while the bbox is not empty, because
-  a parallel sandpile can sit on a periodic orbit whose period divides
-  ``k`` (``f^k(x) == x`` with ``x`` unstable must not report a fixpoint).
+  per worker by default), each running the fused trapezoid of the
+  ``sync_tile_k``/``sync_tile_kc`` tile kernels.  A step reports
+  progress while the bbox is not empty, because a parallel sandpile can
+  sit on a periodic orbit whose period divides ``k`` (``f^k(x) == x``
+  with ``x`` unstable must not report a fixpoint).
 
 ``window_log`` records ``(iteration, window, active_tiles)`` per step so
 the obs adapter can render the shrinking frontier as counter tracks next
@@ -73,26 +70,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-import repro.sandpile.compiled  # noqa: F401 - registers sync_tile_cnc/_kc for forked workers
 from repro.common.errors import ConfigurationError
-from repro.easypap.executor import SequentialBackend, TaskBatch, TileTask
+from repro.easypap.executor import SequentialBackend
 from repro.easypap.grid import Grid2D
 from repro.easypap.schedule import TaskSpan
-from repro.easypap.tiling import Tile, TileGrid, band_tiles, deal
+from repro.easypap.tiling import TileGrid, band_tiles, deal
 from repro.sandpile.compiled import sync_window, sync_window_k, sync_window_k_numpy
-from repro.sandpile.kernels import (
-    Window,
-    grow_window,
-    sync_gather,
-    sync_tile_k_array,
-    sync_tile_nc,
-    unstable_bbox,
-)
+from repro.sandpile.kernels import Window, grow_window, sync_gather, unstable_bbox
 
 __all__ = ["ParallelFrontierStepper"]
-
-#: relative cost of merely touching a tile vs. computing one cell
-_TOUCH_COST = 1.0
 
 
 def _minus(a: Window, b: Window) -> list[Window]:
@@ -251,12 +237,16 @@ class _Segment:
 
 
 class ParallelFrontierStepper:
-    """Synchronous frontier stepper dispatching active tiles to a backend.
+    """Synchronous frontier stepper running its steps as parallel regions.
 
     Step-for-step equivalent to
     :class:`~repro.sandpile.vectorized.FrontierSyncStepper` (same iteration
     count, same fixpoint, same sink accounting), with the window's tile
-    cover executed by the backend instead of one monolithic slice update.
+    cover split among the region's participants instead of one monolithic
+    slice update.  *backend* is a
+    :class:`~repro.easypap.executor.SequentialBackend` (the default: the
+    region runs in process) or a
+    :class:`~repro.easypap.executor.ProcessBackend`.
     """
 
     def __init__(
@@ -289,17 +279,10 @@ class ParallelFrontierStepper:
         #: per-iteration ``(iteration, window, active_tiles)`` — the obs
         #: adapter turns this into frontier counter tracks
         self.window_log: list[tuple[int, Window, int]] = []
-        self.use_compiled = use_compiled
-        self._scratch = grid.data.copy()
-        self._shared = False
-        if getattr(self.backend, "uses_processes", False):
-            plane0, plane1 = self.backend.bind_planes(grid.data, self._scratch)
-            grid.swap_buffer(plane0)
-            self._scratch = plane1
-            self._shared = True
-        #: True when :meth:`advance` runs a whole segment as one parallel
-        #: region (the process backend); drivers then ask for segments
-        self.segmented = self._shared
+        plane0, self._scratch = self.backend.bind_planes(grid.data, grid.data.copy())
+        #: True when the bound planes are shared memory, which close() leaves
+        self._shared = plane0 is not grid.data
+        grid.swap_buffer(plane0)
         #: which bound plane the grid holds (regions flip it), and the last
         #: region step's cover: outside it both planes hold the grid
         self._live = 0
@@ -308,64 +291,7 @@ class ParallelFrontierStepper:
             grid.height, grid.width, self.tiles.tile_h, self.tiles.tile_w,
             k, self.nbands, use_compiled,
         )
-        # -- zero-rebuild caches: per-tile closures and specs, built once,
-        # indexed by tile id; iterations only *select* from them
-        kernel = "sync_tile_cnc" if use_compiled else "sync_tile_nc"
-        self._band_kernel = "sync_tile_kc" if use_compiled else "sync_tile_k"
-        self._all_tiles = list(self.tiles)
-        self._tasks = [self._make_task(t) for t in self._all_tiles]
-        # specs are built even off the process backend: the analysis layer
-        # certifies the exact batches the stepper submits
-        self._specs: list[TileTask] = [TileTask(kernel, 0, 1, t) for t in self._all_tiles]
-        # the all-tiles batch is parameter-stable: the backend uses the
-        # memoised static chunk plan for it, and frontier batches select from it
-        self._full_batch = TaskBatch(self._tasks, tiles=self._all_tiles, spec=self._specs)
         self._bbox = unstable_bbox(grid.interior)
-
-    def _make_task(self, tile: Tile):
-        if self.use_compiled:
-            def task() -> float:
-                sync_window(self.grid.data, self._scratch, tile.y0, tile.y1, tile.x0, tile.x1)
-                return _TOUCH_COST + tile.area
-        else:
-            def task() -> float:
-                sync_tile_nc(self.grid.data, self._scratch, tile)
-                return _TOUCH_COST + tile.area
-        return task
-
-    def _make_band_task(self, tile: Tile):
-        k = self.k
-        if self.use_compiled:
-            def task() -> float:
-                sync_window_k(self.grid.data, self._scratch, tile.y0, tile.y1, tile.x0, tile.x1, k)
-                return _TOUCH_COST + tile.area
-        else:
-            def task() -> float:
-                sync_tile_k_array(self.grid.data, self._scratch, tile, k)
-                return _TOUCH_COST + tile.area
-        return task
-
-    def _band_batch_for(self, window: Window) -> tuple[TaskBatch, int]:
-        """Fused-k batch over *window* cut into row bands."""
-        tiles = band_tiles(window, self.nbands)
-        kernel = self._band_kernel
-        batch = TaskBatch(
-            [self._make_band_task(t) for t in tiles],
-            tiles=tiles,
-            spec=[TileTask(kernel, 0, 1, t, arg=self.k) for t in tiles],
-            dynamic=True,
-        )
-        return batch, len(tiles)
-
-    def _batch_for(self, active: list[Tile]) -> TaskBatch:
-        if len(active) == len(self._all_tiles):
-            return self._full_batch
-        return self._full_batch.subset([t.index for t in active])
-
-    @property
-    def planes(self) -> list:
-        """The two framed planes the batches index (0 = live, 1 = scratch)."""
-        return [self.grid.data, self._scratch]
 
     def reset(self) -> None:
         """Rescan the whole grid (e.g. after an external grid edit)."""
@@ -394,65 +320,24 @@ class ParallelFrontierStepper:
         return self.advance(self.k) > 0
 
     def advance(self, limit: int) -> int:
-        """Run up to *limit* grid iterations, ``ceil(limit / k)`` steps.
+        """Run up to *limit* grid iterations, ``ceil(limit / k)`` steps, as one region.
 
         Returns the grid iterations run (*k* per step); fewer steps than
-        that means the grid reached its fixpoint.  On the process backend
-        the steps run as one parallel region.
+        that means the grid reached its fixpoint.
         """
         nsteps = -(-limit // self.k)
-        if self._shared and self.backend.uses_processes:
-            steps = self._run_region(nsteps)
-        else:
-            steps = 0
-            while steps < nsteps and self._bbox is not None:
-                self._step(self.iterations + steps * self.k)
-                steps += 1
+        steps = self._run_region(nsteps)
         # a call that finds the grid stable still counts its k, as a plain call does
         self.iterations += self.k * (steps + (steps < nsteps))
         return self.k * steps
 
-    def _step(self, iteration: int) -> None:
-        """One in-process step: a batch of the window's tiles, window copy-back."""
-        grid = self.grid
-        k = self.k
-        window = grow_window(self._bbox, grid.height, grid.width, k)
-        if k == 1:
-            active = self.tiles.tiles_in_window(window)
-            batch = self._batch_for(active)
-            ntiles = len(active)
-            self.tiles_skipped += len(self.tiles) - ntiles
-        else:
-            batch, ntiles = self._band_batch_for(window)
-        self.tiles_computed += ntiles
-        self.window_cells += (window[1] - window[0]) * (window[3] - window[2])
-        self.window_log.append((iteration, window, ntiles))
-
-        self.backend.run(batch, iteration=iteration)
-
-        # window slices in frame coordinates
-        y0, y1, x0, x1 = window
-        ys = slice(y0 + 1, y1 + 1)
-        xs = slice(x0 + 1, x1 + 1)
-        live = grid.data
-        new = self._scratch[ys, xs]
-        old = live[ys, xs]
-        if y0 == 0 or x0 == 0 or y1 == grid.height or x1 == grid.width:
-            # net window deficit == grains that toppled into the sink frame
-            # during all k fused sub-steps (no grain crosses the window rim:
-            # activity at sub-step s stays inside the bbox grown by s <= k)
-            grid.sink_absorbed += int(old.sum()) - int(new.sum())
-        live[ys, xs] = new
-        self._bbox = unstable_bbox(grid.interior, window)
-
-    # -- the process backend: segments as parallel regions ------------------------
-
     def _run_region(self, nsteps: int) -> int:
-        """Up to *nsteps* steps as one region on the process backend; returns the steps run.
+        """Up to *nsteps* steps as one region; returns the steps run.
 
         The grid then holds whichever plane the last step wrote, flipped
         in like a double-buffered stepper's, and :attr:`_prev` the cover
-        outside which both planes agree, for the next segment to carry on.
+        outside which both planes agree, for the next segment to carry
+        on; a region that raises leaves them at the last step it published.
         """
         if self._bbox is None or nsteps < 1:
             return 0
@@ -469,32 +354,29 @@ class ParallelFrontierStepper:
             return (geo, base, live, seg.step, nsteps, seg.bbox, seg.prev, traced)
 
         def collect(m, slots, values):
-            self._collect(seg, m, slots, values, n)
+            self._collect(seg, m, slots, values)
 
-        done = self.backend.run_region(_frontier_region, args, collect, nworkers=n)
-        if seg.step % 2:
-            self._scratch = self.grid.swap_buffer(self._scratch)
-            self._live ^= 1
-        self._bbox, self._prev = seg.bbox, seg.prev
-        if not done:
-            # degraded to threads: the grid holds the last step every worker
-            # published; the in-process steps never read scratch off their tiles
-            while seg.step < nsteps and self._bbox is not None:
-                self._step(base + seg.step * self.k)
-                seg.step += 1
+        try:
+            self.backend.run_region(_frontier_region, args, collect, nworkers=n)
+        finally:
+            if seg.step % 2:
+                self._scratch = self.grid.swap_buffer(self._scratch)
+                self._live ^= 1
+            self._bbox, self._prev = seg.bbox, seg.prev
         return seg.step
 
-    def _collect(self, seg: _Segment, m: int, slots: np.ndarray, values: list, p: int) -> None:
-        """Advance *seg* to step *m*, the last step every worker published.
+    def _collect(self, seg: _Segment, m: int, slots: np.ndarray, values: list) -> None:
+        """Advance *seg* to step *m*, the last step every participant published.
 
         Counters, sink and window log take that step's slots and any
-        reply's log; if no worker replied (every one was lost), the
-        window log misses the attempt's steps while the rest stays exact.
+        participant's log (*values*: one per participant); if none
+        replied (every worker was lost), the window log misses the
+        attempt's steps while the rest stays exact.
         """
         start = seg.step
         if m < start:
             return
-        recs = slots[m % 2, :p]
+        recs = slots[m % 2, : len(values)]
         seg.bbox = _union(recs[:, 1:5])
         seg.prev = tuple(int(v) for v in recs[0, 5:9])
         self.grid.sink_absorbed += int(recs[:, 9].sum())
@@ -507,14 +389,15 @@ class ParallelFrontierStepper:
             entries = replied[0][0][: m + 1 - start]
             self.window_log.extend(entries)
             if self.backend.trace:
-                self._record_region(entries, start, values, p)
+                self._record_region(entries, start, values)
 
-    def _record_region(self, entries, start: int, values: list, p: int) -> None:
+    def _record_region(self, entries, start: int, values: list) -> None:
         """Record the tile spans of region steps, one batch per step.
 
-        A worker times its whole share of a step; the share's tiles split
-        that time evenly, in tile order, on the worker's lane.
+        A participant times its whole share of a step; the share's tiles
+        split that time evenly, in tile order, on the participant's lane.
         """
+        p = len(values)
         times: dict[int, list[tuple[int, float, float]]] = {}
         for w, v in enumerate(values):
             for step, t0, t1 in v[1] if v is not None else ():

@@ -13,8 +13,8 @@ Registered variants
 ``frontier`` (bounding-box stepping over the active region), ``tiled``,
 ``lazy``, ``omp`` (tiled + scheduling policy; pick the executor with
 ``backend="simulated"|"threads"|"process"|"sequential"``), ``pfrontier``
-(frontier-aware dynamic chunk plans on real process workers), ``split``
-(inner/outer SIMD split).
+(the active frontier as parallel regions, on worker processes or, with
+``backend="sequential"``, in process), ``split`` (inner/outer SIMD split).
 
 ``asandpile`` : ``seq``, ``vec`` (sweep), ``frontier``, ``tiled``,
 ``lazy``, ``omp``.
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.common.errors import ConfigurationError
 from repro.common.resilience import DegradationLog, FaultInjector, RetryPolicy
 from repro.easypap.executor import SequentialBackend, make_backend
 from repro.easypap.grid import Grid2D
@@ -136,15 +137,13 @@ def _sandpile_omp(
 @register_variant(
     "sandpile",
     "pfrontier",
-    description="frontier-aware dynamic chunk plans on real workers",
+    description="the active frontier as parallel regions on real workers",
 )
 def _sandpile_pfrontier(
     grid: Grid2D,
     *,
     tile_size: int = 32,
     nworkers: int = 4,
-    policy: str = "dynamic",
-    chunk: int = 1,
     backend: str = "process",
     use_compiled: bool = False,
     k: int = 1,
@@ -158,8 +157,12 @@ def _sandpile_pfrontier(
     metrics=None,
     **_opts,
 ):
+    if backend not in ("process", "sequential"):
+        raise ConfigurationError(
+            f"pfrontier runs on the 'process' or 'sequential' backend, not {backend!r}"
+        )
     be = make_backend(
-        backend, nworkers, policy=policy, chunk=chunk, trace=trace,
+        backend, nworkers, trace=trace,
         retry=retry, task_timeout=task_timeout,
         allow_fallback=allow_fallback, degradation=degradation,
         fault_injector=fault_injector, metrics=metrics,
@@ -264,15 +267,15 @@ def run_to_fixpoint(
     when *max_iterations* of them pass without reaching the fixpoint.
 
     The run goes through :meth:`SandpileJob.advance
-    <repro.easypap.job.SandpileJob.advance>`: ``pfrontier`` on the process
-    backend runs all iterations left in the budget as one segment (a
-    parallel region of the workers), every other variant one stepper call
-    at a time.
+    <repro.easypap.job.SandpileJob.advance>`: ``pfrontier`` runs all
+    iterations left in the budget as one segment (one parallel region, of
+    the workers or in process), every other variant one stepper call at a
+    time.
 
     *trace* (a :class:`repro.obs.Tracer`) receives the tile spans of the
     variants that record them, under the ``easypap`` track group, and one
-    wall-clock span per stepper call — per segment for process
-    ``pfrontier`` — under ``easypap-driver`` (a pid of its own: tile spans
+    wall-clock span per stepper call — per segment for ``pfrontier`` —
+    under ``easypap-driver`` (a pid of its own: tile spans
     run on batch time, not on the tracer's clock), named after the grid
     iteration the call starts from.  A falsy tracer
     (None or :class:`repro.obs.NullTracer`) costs one branch per call —

@@ -1,12 +1,14 @@
-"""Tests for the parallel active-frontier stepper (dynamic chunk plans).
+"""Tests for the parallel active-frontier stepper (parallel regions).
 
 Pins :class:`~repro.sandpile.pfrontier.ParallelFrontierStepper` to the
-oracle and to the single-worker frontier stepper step-for-step, and checks
-the scheduling contract the design depends on: batches *select from*
-construction-time tasks/specs (zero rebuild), partial batches are flagged
-``dynamic`` so the backend plans them without touching the LRU cache, and
-the all-tiles batch is one cached object.
+oracle and to the single-worker frontier stepper step-for-step, recounts
+its tile counters from its window log with the tiling helpers the region
+kernel does not use, and pins a segment run as one region on worker
+processes to the in-process run of the same kernel, call by call.
 """
+
+import itertools
+import os
 
 import numpy as np
 import pytest
@@ -16,10 +18,10 @@ from hypothesis.extra.numpy import arrays
 
 from repro.common.errors import SimulationError
 from repro.easypap.app import EasyPapApp
-from repro.easypap.executor import ProcessBackend, SequentialBackend
+from repro.easypap.executor import ProcessBackend
 from repro.easypap.grid import Grid2D
 from repro.easypap.job import SandpileJob
-from repro.easypap.tiling import TileGrid
+from repro.easypap.tiling import TileGrid, band_tiles
 from repro.sandpile.compiled import HAVE_NUMBA, sync_window, sync_window_numpy
 from repro.sandpile.kernels import sync_tile_nc
 from repro.sandpile.model import center_pile, random_uniform
@@ -47,18 +49,6 @@ def _drive(stepper, limit=200_000):
         n += 1
         assert n < limit
     return n
-
-
-class _RecordingBackend(SequentialBackend):
-    """Sequential backend that keeps every batch it was handed."""
-
-    def __init__(self):
-        super().__init__()
-        self.batches = []
-
-    def run(self, batch, iteration=0):
-        self.batches.append(batch)
-        return super().run(batch, iteration=iteration)
 
 
 # -- correctness --------------------------------------------------------------
@@ -124,55 +114,58 @@ def test_reset_rescans_after_external_edit():
     assert g.interior[2, 2] < 4
 
 
-# -- scheduling contract ------------------------------------------------------
-
-
-def test_partial_batches_select_not_rebuild():
-    """A shrinking frontier reuses construction-time tasks and specs by
-    identity — the zero-rebuild invariant extended to dynamic tile sets."""
-    g = center_pile(24, 24, 160)
-    be = _RecordingBackend()
-    stepper = ParallelFrontierStepper(g, tile_size=8, backend=be)
-    _drive(stepper)
-    assert be.batches, "stepper never submitted work"
-    partial = [b for b in be.batches if len(b) < len(stepper._all_tiles)]
-    assert partial, "a 160-grain pile on a 24x24 grid must have partial batches"
-    for batch in partial:
-        assert batch.dynamic
-        for task, tile, spec in zip(batch.tasks, batch.tiles, batch.spec):
-            assert task is stepper._tasks[tile.index]
-            assert spec is stepper._specs[tile.index]
-
-
-def test_full_batch_is_cached_whole():
-    g = Grid2D.from_interior(np.full((16, 16), 6, dtype=np.int64))
-    be = _RecordingBackend()
-    stepper = ParallelFrontierStepper(g, tile_size=8, backend=be)
-    stepper()
-    stepper()
-    full = [b for b in be.batches if len(b) == len(stepper._all_tiles)]
-    assert len(full) >= 2, "a saturated grid must submit full batches"
-    assert full[0] is full[1], "the all-tiles batch must be one cached object"
-    assert not full[0].dynamic
+# -- counters -----------------------------------------------------------------
 
 
 def test_counters_and_window_log():
-    g = center_pile(32, 32, 400)
-    with ParallelFrontierStepper(g, tile_size=8) as stepper:
-        n = _drive(stepper)
-    # the final call sees a stable grid and submits nothing
-    assert stepper.iterations == n + 1
-    assert len(stepper.window_log) == n
-    assert stepper.tiles_computed > 0
-    total = len(stepper.tiles)
-    for i, (iteration, window, active) in enumerate(stepper.window_log):
-        assert iteration == i
-        y0, y1, x0, x1 = window
-        assert 0 <= y0 < y1 <= g.height and 0 <= x0 < x1 <= g.width
-        assert 1 <= active <= total
-    assert stepper.window_cells == sum(
-        (w[1] - w[0]) * (w[3] - w[2]) for _, w, _ in stepper.window_log
-    )
+    """The counters the region kernel sums from its cover arithmetic equal
+    a recount from the window log by the tiling helpers, and at k = 1 the
+    computed cells equal the single-worker frontier stepper's."""
+    for k in (1, 4):
+        g = center_pile(32, 32, 400)
+        with ParallelFrontierStepper(g, tile_size=8, k=k, nbands=3) as stepper:
+            n = _drive(stepper)
+        # the final call sees a stable grid and submits nothing
+        assert stepper.iterations == (n + 1) * k
+        assert len(stepper.window_log) == n
+        total = len(stepper.tiles)
+        computed = skipped = 0
+        for i, (iteration, window, active) in enumerate(stepper.window_log):
+            assert iteration == i * k
+            y0, y1, x0, x1 = window
+            assert 0 <= y0 < y1 <= g.height and 0 <= x0 < x1 <= g.width
+            if k == 1:
+                assert active == len(stepper.tiles.tiles_in_window(window))
+                skipped += total - active
+            else:
+                assert active == len(band_tiles(window, 3))
+            computed += active
+        assert computed > 0
+        assert (stepper.tiles_computed, stepper.tiles_skipped) == (computed, skipped)
+        assert stepper.window_cells == sum(
+            (w[1] - w[0]) * (w[3] - w[2]) for _, w, _ in stepper.window_log
+        )
+        if k == 1:
+            ref = FrontierSyncStepper(center_pile(32, 32, 400))
+            _drive(ref)
+            assert stepper.window_cells == ref.window_cells
+
+
+def test_in_process_participant_ignores_a_changed_parent(monkeypatch):
+    """The in-process participant never takes a worker's orphan exit: a
+    run whose parent pid changes (its launching shell exited) finishes."""
+    ppids = itertools.count(10**6)
+
+    def no_exit(code):
+        raise AssertionError(f"os._exit({code}) in the main process")
+
+    monkeypatch.setattr(os, "getppid", lambda: next(ppids))  # another pid on every call
+    monkeypatch.setattr(os, "_exit", no_exit)
+    g = random_uniform(20, 20, max_grains=12, seed=5)
+    oracle = stabilize(g.copy())
+    run_to_fixpoint(g, "sandpile", "pfrontier", backend="sequential", tile_size=4, k=1)
+    assert np.array_equal(g.data, oracle.data)
+    assert g.sink_absorbed == oracle.sink_absorbed
 
 
 # -- process backend ----------------------------------------------------------
@@ -210,9 +203,7 @@ def test_close_detaches_shared_memory():
 def test_registry_variant_runs_on_processes():
     oracle = stabilize(center_pile(32, 32, 600))
     g = center_pile(32, 32, 600)
-    result = run_to_fixpoint(
-        g, "sandpile", "pfrontier", tile_size=8, nworkers=2, policy="dynamic"
-    )
+    result = run_to_fixpoint(g, "sandpile", "pfrontier", tile_size=8, nworkers=2)
     assert np.array_equal(g.interior, oracle.interior)
     assert result.iterations > 0
     assert g.total_grains() + g.sink_absorbed == 600
@@ -327,7 +318,7 @@ def test_segments_match_call_by_call_sequential(interior, k, nworkers, tile_size
         Grid2D.from_interior(interior), tile_size, k=k,
         backend=ProcessBackend(nworkers, "dynamic"),
     ) as proc:
-        assert proc.segmented
+        assert proc.backend.uses_processes
         proc.advance(limit)
         _calls(ref, limit)
         assert np.array_equal(proc.grid.data, ref.grid.data)

@@ -65,6 +65,26 @@ class TestSandpileCli:
         assert "stable after" in captured.out
         assert "degradations:" in captured.err and "pool-rebuild" in captured.err
 
+    def test_pfrontier_backend_flag_reaches_the_variant(self, capsys):
+        """--backend sequential runs pfrontier in process, leasing no
+        worker, to the line the process backend prints; other backends
+        are refused by name."""
+        from repro.common.errors import ConfigurationError
+        from repro.easypap import shutdown_idle_pool
+
+        argv = ["--size", "24", "--grains", "800", "--variant", "pfrontier",
+                "--tile-size", "8", "--nworkers", "2", "--quiet"]
+
+        def stable_line(backend):
+            assert sandpile_main([*argv, "--backend", backend]) == 0
+            return next(ln for ln in capsys.readouterr().out.splitlines() if "stable after" in ln)
+
+        sequential = stable_line("sequential")
+        assert shutdown_idle_pool() == 0
+        assert stable_line("process") == sequential
+        with pytest.raises(ConfigurationError, match="'process' or 'sequential'"):
+            sandpile_main([*argv, "--backend", "threads"])
+
 
 class TestStripesCli:
     def test_default_run(self, capsys):
