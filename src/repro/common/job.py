@@ -9,10 +9,10 @@ state and be **restored** from a snapshot.
 
 The four real execution paths implement it:
 
-* :class:`repro.easypap.job.SandpileJob` — one step per stepper iteration
-  (all registered variants, including ``pfrontier`` on the process
-  backend); checkpoints carry the grid plane, sink counter, and iteration
-  count.
+* :class:`repro.easypap.job.SandpileJob` — one step per stepper call
+  (all registered variants; ``pfrontier`` runs a segment of steps as one
+  parallel region); checkpoints carry the grid plane, sink counter, and
+  iteration count.
 * :class:`repro.mapreduce.stepjob.MapReduceStepJob` — one step per map
   task / shuffle / reduce partition; checkpoints carry the phase manifest
   (completed spills, partitions, outputs, per-task counters).
@@ -21,10 +21,11 @@ The four real execution paths implement it:
 * :class:`repro.wrench.job.WrenchJob` — likewise atomic: one step runs
   the discrete-event simulation.
 
-:class:`~repro.common.supervisor.Supervisor` drives any job with
-retries, a circuit breaker, heartbeats, and interval/SIGTERM
-checkpointing; :mod:`repro.chaos` injects faults against the same
-surface and asserts recovery invariants.
+:meth:`Supervisor.run <repro.common.supervisor.Supervisor.run>` is the
+one loop that drives a job, a segment of steps at a time
+(:meth:`Job.advance`), with retries, a circuit breaker, heartbeats, and
+interval/SIGTERM checkpointing; :mod:`repro.chaos` injects faults
+against the same surface and asserts recovery invariants.
 """
 
 from __future__ import annotations
@@ -33,8 +34,9 @@ import abc
 from dataclasses import dataclass, field
 
 from repro.common.errors import CheckpointError, ConfigurationError
+from repro.common.resilience import RetryPolicy
 
-__all__ = ["JobProgress", "Job", "OneShotJob"]
+__all__ = ["JobProgress", "StopSignal", "Job", "OneShotJob"]
 
 
 @dataclass(frozen=True)
@@ -58,6 +60,30 @@ class JobProgress:
         return min(1.0, self.steps_done / self.steps_total)
 
 
+class StopSignal:
+    """Ends a running segment early, at a step boundary: once requested
+    (from any thread or a signal handler), or once ``time.monotonic()``
+    passes :attr:`at`.  Steps run by other processes read it from a word
+    of shared memory it is :meth:`bind`-ed to: the instant to stop at in
+    ``time.monotonic_ns()``, which a request sets to 0."""
+
+    requested = False
+    at: float | None = None
+    _word = None
+
+    def request(self) -> None:
+        self.requested = True
+        word = self._word
+        if word is not None:
+            word[0] = 0
+
+    def bind(self, word) -> None:
+        """Mirror a request into *word*, a one-element array (None: unbind)."""
+        self._word = word
+        if word is not None and self.requested:  # set after binding: a racing request lands
+            word[0] = 0
+
+
 class Job(abc.ABC):
     """A stepwise execution unit every substrate adapter implements.
 
@@ -73,7 +99,8 @@ class Job(abc.ABC):
       exact execution state — the resumed run must be bit-identical to an
       uninterrupted one.
     * :attr:`retryable_steps` declares that a step which *raised* left no
-      partial state behind, so a supervisor may simply call it again.
+      partial state behind, so a supervisor may simply call it again (a
+      segment that raised keeps the steps it completed).
     * :meth:`describe` returns the canonical construction-time fields —
       the content-addressed cache in :mod:`repro.serve` hashes them, so
       two jobs whose ``describe()`` dicts are equal must compute
@@ -92,6 +119,13 @@ class Job(abc.ABC):
     @abc.abstractmethod
     def step(self) -> bool:
         """Advance one unit of work; True while more work remains."""
+
+    def advance(self, limit: int, stop: StopSignal | None = None) -> int:
+        """Run up to *limit* steps as one segment, ending early at a step
+        boundary once *stop* asks; returns the steps run, 0 once the job is
+        done (that call was its last step, as a :meth:`step` returning
+        ``False`` is).  The default runs one :meth:`step`."""
+        return 1 if self.step() else 0
 
     @abc.abstractmethod
     def result(self):
@@ -133,20 +167,22 @@ class Job(abc.ABC):
         self.close()
 
     def run(self, *, max_steps: int | None = None):
-        """Drive the job to completion without supervision; returns the result.
+        """Drive the job to completion without retries or checkpoints; returns the result.
 
-        The unsupervised twin of :meth:`Supervisor.run
-        <repro.common.supervisor.Supervisor.run>` — no retries, no
-        checkpoints — used by tests and baselines.
+        A thin caller of :meth:`Supervisor.run
+        <repro.common.supervisor.Supervisor.run>`, used by tests and
+        baselines; a job not done after *max_steps* steps raises.
         """
-        steps = 0
-        while self.step():
-            steps += 1
-            if max_steps is not None and steps >= max_steps and not self.progress().done:
-                raise ConfigurationError(
-                    f"{self.name}: exceeded max_steps={max_steps} without completing"
-                )
-        return self.result()
+        from repro.common.supervisor import JobInterrupted, Supervisor  # imports this module
+
+        try:
+            return Supervisor(self, retry=RetryPolicy(max_attempts=1)).run(
+                stop_after_steps=max_steps
+            )
+        except JobInterrupted:
+            raise ConfigurationError(
+                f"{self.name}: exceeded max_steps={max_steps} without completing"
+            ) from None
 
 
 class OneShotJob(Job):

@@ -1,21 +1,27 @@
 """Supervised job execution: retries, circuit breaker, heartbeat, checkpoints.
 
-The :class:`Supervisor` drives any :class:`~repro.common.job.Job` and
-layers the PR 2 resilience primitives on top of the protocol instead of
+:meth:`Supervisor.run` is the one loop that drives a
+:class:`~repro.common.job.Job`, one segment of steps at a time
+(:meth:`Job.advance <repro.common.job.Job.advance>`); ``Job.run``,
+``run_to_fixpoint`` and ``EasyPapApp.run`` are thin callers of it.  It
+layers the resilience primitives on top of the protocol instead of
 inside each substrate:
 
-* **bounded step retries** via :class:`~repro.common.resilience.RetryPolicy`
-  (only when the job declares ``retryable_steps``);
-* a :class:`CircuitBreaker` that stops hammering a job whose steps fail
-  consecutively, then probes again after a cool-down (half-open);
+* **bounded segment retries** via
+  :class:`~repro.common.resilience.RetryPolicy` (only when the job
+  declares ``retryable_steps``);
+* a :class:`CircuitBreaker` that stops hammering a job whose segments
+  fail consecutively, then probes again after a cool-down (half-open);
 * a :class:`Heartbeat` the caller (or a chaos harness) can watch to detect
   a hung job;
 * **interval checkpointing** into a
   :class:`~repro.common.checkpoint.CheckpointStore` every N steps and/or
-  every T seconds, plus a final snapshot on ``SIGTERM`` or a cooperative
-  :meth:`Supervisor.request_stop` — interruption surfaces as
-  :class:`JobInterrupted` carrying the snapshot, and
-  :meth:`Supervisor.resume` continues bit-identically.
+  every T seconds, plus a final snapshot on ``SIGTERM``, an expired
+  deadline or a cooperative :meth:`Supervisor.request_stop` — interruption
+  surfaces as :class:`JobInterrupted` carrying the snapshot, and
+  :meth:`Supervisor.resume` continues bit-identically.  A segment ends at
+  the next ``checkpoint_every_steps`` boundary or ``stop_after_steps``,
+  and early, at a step boundary, on any of these events.
 
 Every fallback the supervisor takes is recorded three ways at once so no
 consumer needs bespoke plumbing: a
@@ -29,12 +35,13 @@ a Prometheus counter in the metrics registry.
 from __future__ import annotations
 
 import signal
+import sys
 import threading
 import time
 
 from repro.common.checkpoint import CheckpointStore
 from repro.common.errors import ConfigurationError, ReproError
-from repro.common.job import Job
+from repro.common.job import Job, StopSignal
 from repro.common.resilience import Deadline, DegradationLog, RetryPolicy
 
 __all__ = [
@@ -120,7 +127,7 @@ class CircuitBreaker:
 
 
 class Heartbeat:
-    """A liveness pulse the supervisor beats after every completed step.
+    """A liveness pulse the supervisor beats once per completed step.
 
     Watchers call :meth:`healthy` with the staleness they tolerate; chaos
     harnesses assert the beat count matches the step count (hung jobs
@@ -133,10 +140,10 @@ class Heartbeat:
         self.count = 0
         self.last_beat: float | None = None
 
-    def beat(self) -> None:
-        """Record one pulse."""
+    def beat(self, n: int = 1) -> None:
+        """Record *n* pulses at once (the steps of one segment)."""
         with self._lock:
-            self.count += 1
+            self.count += n
             self.last_beat = self._clock()
 
     def age(self) -> float | None:
@@ -161,8 +168,8 @@ class Supervisor:
         The job to drive.  Its ``retryable_steps``/``supports_checkpoint``
         declarations gate what the supervisor is allowed to do.
     retry:
-        Per-step retry budget; a step that raises is re-invoked up to
-        ``retry.max_attempts`` times total (requires ``retryable_steps``).
+        Per-segment retry budget; a segment that raises is re-invoked up
+        to ``retry.max_attempts`` times total (requires ``retryable_steps``).
     store:
         Destination for snapshots; None disables checkpointing.
     checkpoint_every_steps / checkpoint_every_seconds:
@@ -175,7 +182,7 @@ class Supervisor:
         that requests a cooperative stop (checkpoint, then
         :class:`JobInterrupted`).  Only possible from the main thread.
     on_step:
-        Optional callable invoked after every *completed* step with
+        Optional callable invoked after every *completed* segment with
         ``(steps_done, progress)`` — the progress-streaming hook the
         :mod:`repro.serve` service uses to publish
         :class:`~repro.common.job.JobProgress` snapshots without polling.
@@ -227,7 +234,8 @@ class Supervisor:
         self.steps_done = 0
         self.retries_used = 0
         self.checkpoints_written = 0
-        self._stop_requested = False
+        #: ends a running segment early: request_stop, a deadline, a checkpoint
+        self._stop = StopSignal()
         self._last_checkpoint_time: float | None = None
 
     # -- degradation fan-out ----------------------------------------------------
@@ -257,8 +265,9 @@ class Supervisor:
     # -- checkpointing ----------------------------------------------------------
 
     def request_stop(self) -> None:
-        """Ask the run loop to checkpoint and stop at the next boundary."""
-        self._stop_requested = True
+        """Ask the run loop to checkpoint and stop at the next step boundary
+        (safe from any thread and from a signal handler)."""
+        self._stop.request()
 
     def _checkpoint(self, *, reason: str):
         """Write a snapshot now; returns its path (None without a store)."""
@@ -282,24 +291,16 @@ class Supervisor:
         return path
 
     def _checkpoint_due(self) -> bool:
-        if self.store is None:
-            return False
-        if (
-            self.checkpoint_every_steps is not None
-            and self.steps_done > 0
-            and self.steps_done % self.checkpoint_every_steps == 0
-        ):
-            return True
-        if self.checkpoint_every_seconds is not None:
-            last = self._last_checkpoint_time
-            if last is None or time.monotonic() - last >= self.checkpoint_every_seconds:
-                return True
-        return False
+        """After a segment (intervals imply a store, and the clock runs from run())."""
+        every, seconds = self.checkpoint_every_steps, self.checkpoint_every_seconds
+        return (every is not None and self.steps_done % every == 0) or (
+            seconds is not None and time.monotonic() - self._last_checkpoint_time >= seconds
+        )
 
     # -- the run loop -----------------------------------------------------------
 
-    def _step_with_retries(self) -> bool:
-        """One protocol step under the retry policy and circuit breaker."""
+    def _advance_with_retries(self, limit: int) -> int:
+        """One segment of at most *limit* steps under the retry policy and breaker."""
         if not self.breaker.allow():
             self._degrade("circuit-open", "breaker refused the step")
             raise CircuitOpenError(
@@ -309,7 +310,7 @@ class Supervisor:
         while True:
             attempt += 1
             try:
-                more = self.job.step()
+                ran = self.job.advance(limit, self._stop)
             except ReproError as exc:
                 self.breaker.record_failure()
                 if not self.job.retryable_steps or self.retry.retries_left(attempt) == 0:
@@ -324,7 +325,22 @@ class Supervisor:
                     ) from exc
             else:
                 self.breaker.record_success()
-                return more
+                return ran
+
+    def _arm_segment(self, stop_at: int | None, deadline: Deadline | None) -> int:
+        """The next segment's step limit; sets the instant it must end by."""
+        limit = sys.maxsize if stop_at is None else stop_at - self.steps_done
+        every = self.checkpoint_every_steps
+        if every is not None:
+            limit = min(limit, every - self.steps_done % every)
+        ends = []
+        if deadline is not None and deadline.budget is not None:
+            ends.append(time.monotonic() + deadline.remaining())
+        if self.checkpoint_every_seconds is not None:
+            ends.append(self._last_checkpoint_time + self.checkpoint_every_seconds)
+        if ends:
+            self._stop.at = min(ends)
+        return limit
 
     def run(
         self,
@@ -333,7 +349,7 @@ class Supervisor:
         stop_after_steps: int | None = None,
         deadline: Deadline | None = None,
     ):
-        """Drive the job to completion; returns its result.
+        """Drive the job to completion, one segment at a time; returns its result.
 
         With ``resume=True`` the latest readable snapshot is restored
         first (a no-op when the store is empty).  ``stop_after_steps``
@@ -342,7 +358,9 @@ class Supervisor:
         chaos scenarios kill a run mid-flight without real signals.  A
         *deadline* whose budget expires interrupts the same graceful way
         at the next step boundary, so an over-budget run leaves a
-        resumable snapshot instead of a hard abort.
+        resumable snapshot instead of a hard abort.  Steps, heartbeat
+        pulses and ``supervisor_steps_total`` add each segment's steps
+        once it returns, as many as a step-by-step run counts.
         """
         if resume:
             self.restore_latest()
@@ -353,20 +371,19 @@ class Supervisor:
         use_signal = self.handle_sigterm and threading.current_thread() is threading.main_thread()
         if use_signal:
             prev_handler = signal.signal(signal.SIGTERM, lambda *_: self.request_stop())
-        started_at = self.steps_done
+        stop_at = None if stop_after_steps is None else self.steps_done + stop_after_steps
+        bounded = stop_at is not None or deadline is not None or self.store is not None
+        limit, stop = sys.maxsize, self._stop
+        stop.at = None  # a deadline of an earlier run() no longer applies
         try:
             while True:
-                expired = deadline is not None and deadline.expired
-                if self._stop_requested or expired or (
-                    stop_after_steps is not None
-                    and self.steps_done - started_at >= stop_after_steps
-                ):
-                    if self._stop_requested:
-                        why = "stop-requested"
-                    elif expired:
-                        why = "deadline-expired"
-                    else:
-                        why = "stop-after-steps"
+                why = (
+                    "stop-requested" if stop.requested
+                    else "deadline-expired" if deadline is not None and deadline.expired
+                    else "stop-after-steps" if stop_at is not None and self.steps_done >= stop_at
+                    else None
+                )
+                if why is not None:
                     path = self._checkpoint(reason=why)
                     self._degrade("interrupted", why, step=self.steps_done)
                     raise JobInterrupted(
@@ -374,15 +391,20 @@ class Supervisor:
                         steps_done=self.steps_done,
                         snapshot_path=path,
                     )
-                more = self._step_with_retries()
-                self.steps_done += 1
-                self.heartbeat.beat()
-                self._count("supervisor_steps_total", "job steps completed under supervision")
+                if bounded:
+                    limit = self._arm_segment(stop_at, deadline)
+                ran = self._advance_with_retries(limit)
+                steps = ran or 1  # the call that finds the job done is its last step
+                self.steps_done += steps
+                self.heartbeat.beat(steps)
+                self._count(
+                    "supervisor_steps_total", "job steps completed under supervision", steps
+                )
                 if self.on_step is not None:
                     self.on_step(self.steps_done, self.job.progress())
-                if self._checkpoint_due():
+                if self.store is not None and self._checkpoint_due():
                     self._checkpoint(reason="interval")
-                if not more:
+                if not ran:
                     break
         finally:
             if use_signal:

@@ -4,9 +4,11 @@ EASYPAP's main program wires a kernel variant to an interactive SDL window
 with monitoring; students run ``./run -k sandpile -v omp -ts 32``.  This
 module is the headless counterpart: :class:`EasyPapApp` drives a
 :class:`~repro.easypap.job.SandpileJob` to the fixpoint (or an iteration
-budget), and on the way collects everything the interactive tools would
-show — periodic RGB frames (writable as a PPM sequence), per-iteration
-timing, and the execution trace.
+budget) through the :class:`~repro.common.supervisor.Supervisor` loop,
+and on the way collects everything the interactive tools would show —
+periodic RGB frames (writable as a PPM sequence), timing per grid
+iteration, and the execution trace.  As EASYPAP's refresh rate does, the
+frames bound the segments the kernel runs between two looks at the grid.
 
 >>> app = EasyPapApp("sandpile", "lazy", grid, tile_size=16)
 >>> result = app.run(max_iterations=500, frame_every=50)
@@ -16,7 +18,6 @@ timing, and the execution trace.
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,6 +26,8 @@ import numpy as np
 
 from repro.common.colors import sandpile_to_rgb, write_ppm
 from repro.common.errors import ConfigurationError
+from repro.common.resilience import RetryPolicy
+from repro.common.supervisor import JobInterrupted, Supervisor
 from repro.easypap.grid import Grid2D
 from repro.easypap.job import SandpileJob
 from repro.obs.tracer import Tracer
@@ -41,17 +44,14 @@ class AppResult:
     iterations: int
     converged: bool
     wall_seconds: float
-    iteration_seconds: list[float] = field(default_factory=list)
     frames: list[np.ndarray] = field(default_factory=list)
     frame_iterations: list[int] = field(default_factory=list)
     trace: Tracer | None = None
 
     @property
     def mean_iteration_seconds(self) -> float:
-        """Average wall time per executed iteration."""
-        if not self.iteration_seconds:
-            return 0.0
-        return sum(self.iteration_seconds) / len(self.iteration_seconds)
+        """Average wall time per executed grid iteration."""
+        return self.wall_seconds / self.iterations if self.iterations else 0.0
 
     def save_frames(self, directory, *, prefix: str = "frame") -> list[Path]:
         """Write all collected frames as ``<prefix>_<iteration>.ppm`` files."""
@@ -81,10 +81,7 @@ class EasyPapApp:
         self.variant = variant
         self.grid = grid
         self.trace = Tracer() if trace else None
-        # run() enforces its own, non-raising budget
-        self._job = SandpileJob(
-            grid, kernel, variant, max_iterations=sys.maxsize, trace=self.trace, **options
-        )
+        self._job = SandpileJob(grid, kernel, variant, trace=self.trace, **options)
 
     def close(self) -> None:
         """Release stepper resources (process pools, shared memory); idempotent.
@@ -110,7 +107,10 @@ class EasyPapApp:
         """Run to the fixpoint or *max_iterations*, whichever comes first.
 
         Iterations are executed grid iterations, as in
-        :func:`~repro.sandpile.simulate.run_to_fixpoint`.
+        :func:`~repro.sandpile.simulate.run_to_fixpoint`.  A thin caller
+        of the :class:`~repro.common.supervisor.Supervisor` loop: each
+        segment ends at the budget, at the next multiple of *frame_every*,
+        or after one step when *on_iteration* is given.
 
         Parameters
         ----------
@@ -125,24 +125,40 @@ class EasyPapApp:
             raise ConfigurationError("max_iterations cannot be negative")
         frames: list[np.ndarray] = []
         frame_iterations: list[int] = []
-        iteration_seconds: list[float] = []
-        converged = False
         job = self._job
-        t0 = time.perf_counter()
-        while job.iterations < max_iterations:
-            before = job.iterations
-            it_start = time.perf_counter()
-            changed = job.step()
-            iteration_seconds.append(time.perf_counter() - it_start)
-            if not changed:
-                converged = True
-                break
+        before = job.iterations
+
+        def pause_at() -> int:
+            """Where the next segment ends: the budget, the next frame, or one step on."""
+            end = max_iterations
+            if frame_every:
+                end = min(end, (job.iterations // frame_every + 1) * frame_every)
+            return end if on_iteration is None else min(end, job.iterations + 1)
+
+        def after_segment(_steps, progress) -> None:
+            nonlocal before
             # a k-step call can jump over a multiple of frame_every
             if frame_every and job.iterations // frame_every != before // frame_every:
                 frames.append(sandpile_to_rgb(self.grid.interior))
                 frame_iterations.append(job.iterations)
-            if on_iteration is not None and on_iteration(job.iterations, self.grid):
-                break
+            before = job.iterations
+            if not progress.done and (
+                job.iterations >= max_iterations
+                or (on_iteration is not None and on_iteration(job.iterations, self.grid))
+            ):
+                sup.request_stop()
+            job.max_iterations = pause_at()  # the job's own budget ends its next segment
+
+        sup = Supervisor(job, retry=RetryPolicy(max_attempts=1), on_step=after_segment)
+        if job.iterations >= max_iterations:
+            sup.request_stop()
+        job.max_iterations = pause_at()
+        t0 = time.perf_counter()
+        try:
+            sup.run()
+            converged = True
+        except JobInterrupted:
+            converged = False
         wall = time.perf_counter() - t0
         # always include the final state as the last frame when collecting
         if frame_every:
@@ -154,7 +170,6 @@ class EasyPapApp:
             iterations=job.iterations,
             converged=converged,
             wall_seconds=wall,
-            iteration_seconds=iteration_seconds,
             frames=frames,
             frame_iterations=frame_iterations,
             trace=self.trace,

@@ -374,10 +374,10 @@ class SequentialBackend(_TileTimeline):
         self._planes = list(arrays)
         return list(arrays)
 
-    def run_region(self, fn, args, collect, *, nworkers: int | None = None) -> None:
+    def run_region(self, fn, args, collect, *, nworkers: int | None = None, stop=None) -> None:
         """Run the region kernel *fn* in process, the calling thread its one
         participant whatever *nworkers* asks (see :meth:`ProcessBackend.run_region`)."""
-        _run_region_alone(fn, args, collect, self._planes)
+        _run_region_alone(fn, args, collect, self._planes, stop)
 
     def run(self, batch: TaskBatch, *, iteration: int = 0, kind: str = "compute") -> ScheduleResult:
         """Execute the batch; returns the resulting schedule placement."""
@@ -584,6 +584,7 @@ def _attach(plane_specs: list[tuple[str, tuple, str]]) -> tuple[list, list[np.nd
 
 
 #: int64 words of one region slot: what one worker publishes for one step
+#: (the last word: its stop vote at the barrier after the step)
 _SLOT_WORDS = 16
 #: a worker waiting at a region barrier polls its semaphore this many times
 #: before it blocks on it: a short spin catches a peer that is about to
@@ -599,27 +600,36 @@ class _RegionShared:
     barrier (``ceil(log2 n)`` rounds; in round *r* worker *w* posts to
     worker ``w + 2**r`` and waits on its own, so no lock exists for a
     killed worker to leave held), and an anonymous shared mapping holding
-    the abort word and ``slots[2, n, _SLOT_WORDS]``.  Slots are double
-    buffered: step *i* writes row ``i % 2``, so a peer still reading step
-    *i* - 1's slots never sees them overwritten.  Word 0 of a slot names the
-    step it was published for (-1: none yet).  The abort word names the
-    first step whose barrier ends the region (-1: none), so a worker that
-    fails step *s* cannot stop a peer still leaving barrier *s* - 1.
-    Nothing here has a name or a file descriptor: the memory goes with
-    the set's last reference.
+    the abort word, the stop word and ``slots[2, n, _SLOT_WORDS]``.  Slots
+    are double buffered: step *i* writes row ``i % 2``, so a peer still
+    reading step *i* - 1's slots never sees them overwritten.  Word 0 of a
+    slot names the step it was published for (-1: none yet).  The parent
+    sets the abort word to cancel the region.  The stop word is the
+    ``time.monotonic_ns()`` instant past which the region ends at a
+    barrier, 0 once its :class:`~repro.common.job.StopSignal` is
+    requested.  Nothing here has a name or a file descriptor: the memory
+    goes with the set's last reference.
     """
 
     def __init__(self, ctx, nworkers: int) -> None:
         rounds = (nworkers - 1).bit_length()
         self.sems = [[ctx.Semaphore(0) for _ in range(rounds)] for _ in range(nworkers)]
-        words = np.frombuffer(mmap.mmap(-1, 8 * (1 + 2 * nworkers * _SLOT_WORDS)), np.int64)
-        self.abort = words[:1]
-        self.slots = words[1:].reshape(2, nworkers, _SLOT_WORDS)
+        mapping = mmap.mmap(-1, 8 * (2 + 2 * nworkers * _SLOT_WORDS))
+        #: abort word, stop word, slots as Python ints (cheap to touch at a barrier)
+        self.words = words = memoryview(mapping).cast("q")
+        self.slots = np.frombuffer(mapping, np.int64, offset=16).reshape(2, nworkers, _SLOT_WORDS)
+        #: the stop votes of either slot row: each slot's last word
+        self.votes = [words[1 + (r * nworkers + 1) * _SLOT_WORDS :: _SLOT_WORDS] for r in (0, 1)]
 
-    def reset(self) -> None:
-        """Clear the abort word and every slot before a region starts."""
-        self.abort[0] = -1
+    def reset(self, stop=None) -> None:
+        """Clear the abort word and every slot before a region starts, and
+        set the stop word from *stop*, bound to it from now on."""
+        self.words[0] = 0
         self.slots[...] = -1
+        at = None if stop is None else stop.at
+        self.words[1] = np.iinfo(np.int64).max if at is None else int(at * 1e9)
+        if stop is not None:
+            stop.bind(self.words[1:2])
 
     def published(self, p: int) -> int:
         """The last step every one of the first *p* workers published (-1: none)."""
@@ -633,7 +643,7 @@ class _RegionShared:
         is never leased again (the tokens left behind would break its
         barrier).
         """
-        self.abort[0] = 0
+        self.words[0] = 1
         for row in self.sems:
             for sem in row:
                 sem.release()
@@ -676,19 +686,23 @@ class RegionContext:
 
     def slot(self, step: int) -> np.ndarray:
         """This worker's slot for *step*: 16 int64 words, word 0 naming the
-        step (write it last; -1 until then)."""
+        step (write it last; -1 until then), the last one :meth:`wait`'s."""
         return self._shared.slots[step % 2, self.wid]
 
     def slots(self, step: int) -> np.ndarray:
         """Every participant's slot for *step* (read them after :meth:`wait`)."""
         return self._shared.slots[step % 2, : self.nworkers]
 
-    def abort(self, step: int) -> None:
-        """End the region at the barrier after *step* (for every participant)."""
-        self._shared.abort[0] = step
-
-    def wait(self, step: int) -> bool:
+    def wait(self, step: int, *, leave: bool = False) -> bool:
         """The barrier after *step*, spin then block; False when the region ends there.
+
+        Before the barrier each participant votes, in its slot's last word,
+        to *leave* (it failed the step) or whether the stop word's instant
+        has passed; after it all read the same votes and leave if any says
+        so.  So every participant ends the region after the same step,
+        while a peer still leaving the barrier before carries on to meet
+        them, and a stop requested as they pass a barrier reaches all of
+        them or none.  The abort word ends the region at any barrier.
 
         A worker whose parent is gone exits here, at every barrier and every
         :data:`_IDLE_EXIT_S` while blocked: no one will read the rest of
@@ -696,6 +710,8 @@ class RegionContext:
         in-process participant (*parent* None) has no parent to watch: its
         own process reads the region.
         """
+        words, votes = self._shared.words, self._shared.votes[step % 2]
+        votes[self.wid] = leave or time.monotonic_ns() >= words[1]
         if self._parent is not None and os.getppid() != self._parent:
             os._exit(1)
         for post, own in self._rounds:
@@ -707,10 +723,10 @@ class RegionContext:
                 while not own.acquire(timeout=_IDLE_EXIT_S):
                     if os.getppid() != self._parent:
                         os._exit(1)
-        return not 0 <= self._shared.abort[0] <= step
+        return not (words[0] or any(votes[: self.nworkers]))
 
 
-def _run_region_alone(fn, args, collect, planes: list[np.ndarray]) -> None:
+def _run_region_alone(fn, args, collect, planes: list[np.ndarray], stop=None) -> None:
     """Run the region kernel *fn* on *planes* as its one participant, in process.
 
     The calling thread is participant 0 of 1: ``_RegionShared(None, 1)``
@@ -722,11 +738,13 @@ def _run_region_alone(fn, args, collect, planes: list[np.ndarray]) -> None:
     if not planes:
         raise SchedulingError("bind_planes() must be called before running a region")
     shared = _RegionShared(None, 1)
-    shared.reset()
+    shared.reset(stop)
     value = None
     try:
         value = fn(RegionContext(shared, 0, 1, planes, None, time.perf_counter(), None), args())
     finally:
+        if stop is not None:
+            stop.bind(None)
         collect(shared.published(1), shared.slots, [value])
 
 
@@ -1064,9 +1082,10 @@ class ProcessBackend(_TileTimeline):
     command per participating worker: a module-level kernel and its
     arguments.  The workers then loop on their own, publishing each step
     to a double-buffered slot and meeting at a spin-then-block
-    dissemination barrier; both, with an abort word, belong to the worker
-    set (:class:`_RegionShared`), made before its workers fork.
-    ``pfrontier`` runs its fixpoint loop this way
+    dissemination barrier, which ends the region early when a stop word
+    says so (:meth:`RegionContext.wait`); barrier, slots, abort and stop
+    words belong to the worker set (:class:`_RegionShared`), made before
+    its workers fork.  ``pfrontier`` runs its fixpoint loop this way
     (:mod:`repro.sandpile.pfrontier`).
 
     **One attempt loop.**  A batch attempt (each claim round of it) and a
@@ -1694,6 +1713,7 @@ class ProcessBackend(_TileTimeline):
         collect: Callable[[int, np.ndarray, list], None],
         *,
         nworkers: int | None = None,
+        stop=None,
     ) -> None:
         """Run the region kernel *fn* on the first *nworkers* leased workers.
 
@@ -1704,7 +1724,9 @@ class ProcessBackend(_TileTimeline):
         participant published (-1: none), a copy of their slots and each
         participant's return value (None where no reply came; one entry
         per participant), so it can advance the state that ``args()``
-        sends next.
+        sends next.  *stop*, a :class:`~repro.common.job.StopSignal`, ends
+        the region at the first barrier after its request or its time
+        (see :meth:`RegionContext.wait`).
 
         A failed attempt — a worker that dies, raises or makes no progress
         for ``task_timeout`` seconds — takes the same retry ladder as a
@@ -1723,7 +1745,7 @@ class ProcessBackend(_TileTimeline):
 
         def attempt() -> Exception | None:
             ws = self._set
-            ws.shared.reset()
+            ws.shared.reset(stop)
             ws.seq += 1
             epoch = time.perf_counter()
             buf = pickle.dumps(("region", ws.seq, epoch, fn, p, args()))
@@ -1739,6 +1761,8 @@ class ProcessBackend(_TileTimeline):
                 [(wk, buf) for wk in ws.workers[:p]], "region", epoch,
                 Deadline(self.task_timeout), take, ws.shared,
             )
+            if stop is not None:
+                stop.bind(None)
             collect(ws.shared.published(p), ws.shared.slots.copy(), values)
             return failure
 
@@ -1746,7 +1770,7 @@ class ProcessBackend(_TileTimeline):
             attempt, lambda exc: f"region {fn.__name__} failed: {exc}"
         ):
             self._report_off_processes()
-            _run_region_alone(fn, args, collect, self._planes)
+            _run_region_alone(fn, args, collect, self._planes, stop)
 
 
 def make_backend(

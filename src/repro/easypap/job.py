@@ -1,11 +1,14 @@
 """The easypap substrate as a :class:`~repro.common.job.Job`.
 
-:class:`SandpileJob` is the one sandpile driver: it builds any registered
+:class:`SandpileJob` is the one sandpile job: it builds any registered
 kernel variant — including ``pfrontier`` on the process backend — runs
-one stepper call per protocol step until the grid reaches its fixpoint,
-and closes the stepper.  ``run_to_fixpoint``, ``EasyPapApp`` and
-``PerfCampaign`` all drive it; ``run_to_fixpoint`` asks for whole
-segments (:meth:`SandpileJob.advance`), the others step.
+it one segment at a time until the grid reaches its fixpoint, and closes
+the stepper.  A segment is one stepper call, or, for a stepper that
+takes segments (``pfrontier``), as many calls as the caller asks for,
+run as one parallel region.  The
+:class:`~repro.common.supervisor.Supervisor` loop drives it, and
+``run_to_fixpoint``, ``EasyPapApp`` and ``PerfCampaign`` are thin
+callers of that loop.
 
 Checkpointing is **restore-by-rebuild**: a snapshot carries the full grid
 plane (interior + sink frame), the sink counter, and the iteration count;
@@ -27,11 +30,14 @@ import hashlib
 import numpy as np
 
 from repro.common.errors import CheckpointError, ConfigurationError, SimulationError
-from repro.common.job import Job, JobProgress
+from repro.common.job import Job, JobProgress, StopSignal
 from repro.easypap.grid import Grid2D
 from repro.easypap.kernel import get_variant
 
 __all__ = ["SandpileJob", "make_stepper"]
+
+#: track group of a traced job's per-segment wall-clock spans
+DRIVER_PID = "easypap-driver"
 
 
 def _variant_factory(kernel: str, variant: str):
@@ -48,24 +54,18 @@ def make_stepper(grid: Grid2D, kernel: str = "sandpile", variant: str = "vec", *
 
 
 class SandpileJob(Job):
-    """Run ``kernel/variant`` on a grid to its fixpoint, one step at a time.
+    """Run ``kernel/variant`` on a grid to its fixpoint, a segment at a time.
 
     Parameters mirror :func:`repro.sandpile.simulate.run_to_fixpoint`;
     extra *options* flow to the variant factory (``tile_size``,
-    ``nworkers``, ``backend``, ``fault_injector``...).  An unknown
-    ``kernel/variant`` raises ``KernelError`` here; the stepper is built
-    lazily on the first step so that a restored grid rebuilds its stepper
-    from the snapshot, not from the initial state.
+    ``nworkers``, ``backend``, ``fault_injector``, ``trace``...).  An
+    unknown ``kernel/variant`` raises ``KernelError`` here; the stepper is
+    built lazily on the first step so that a restored grid rebuilds its
+    stepper from the snapshot, not from the initial state.
 
-    :attr:`iterations` counts executed grid iterations (``k`` per call of
-    a temporally blocked stepper); a step taken once it has reached
-    *max_iterations* raises ``SimulationError``.
-
-    :meth:`step` is one stepper call.  :meth:`advance` is one *segment*:
-    when the stepper takes segments (it has ``advance(limit)``, as
-    ``pfrontier`` does on every backend) it asks for all iterations left
-    within *max_iterations* at once, else it is :meth:`step`.  Both count
-    iterations exactly alike.
+    A step is one stepper call.  :attr:`iterations` counts executed grid
+    iterations (``k`` per call of a temporally blocked stepper); a step
+    taken once it has reached *max_iterations* raises ``SimulationError``.
 
     The synchronous family is double-buffered (writes land off-plane
     until commit), so a raised step leaves the live plane intact and
@@ -100,6 +100,7 @@ class SandpileJob(Job):
         self.stepper = None
         self._k = 1
         self._takes_segments = False
+        self._trace = options.get("trace")
         #: spec params when built via from_spec; None for direct-grid jobs
         self._spec_params: dict | None = None
         # construction-time grid digest: the describe() fallback for jobs
@@ -179,43 +180,55 @@ class SandpileJob(Job):
 
     # -- protocol ----------------------------------------------------------------
 
-    def _stepper(self):
-        """The live stepper, built on first use; raises once the budget is spent."""
+    def step(self) -> bool:
+        return self.advance(1) > 0
+
+    def advance(self, limit: int, stop: StopSignal | None = None) -> int:
+        """Up to *limit* steps as one segment (one stepper call unless the
+        stepper has ``advance``, as ``pfrontier`` does); a call that raises
+        keeps the steps its segment published and closes the stepper, so the
+        next runs on a fresh one built from the grid (exact, as
+        restore-by-rebuild is).  Traced, each call is one span under
+        :data:`DRIVER_PID`, named after the iteration it starts from."""
+        if self._done:
+            return 0
         if self.iterations >= self.max_iterations:
             raise SimulationError(
                 f"{self.name}: no fixpoint within {self.max_iterations} iterations"
             )
+        if not self._trace:
+            return self._segment(limit, stop)
+        args = {"iteration": self.iterations, "kernel": self.kernel, "variant": self.variant}
+        with self._trace.span(f"iteration {self.iterations}", cat="iteration",
+                              pid=DRIVER_PID, tid="driver", args=args):
+            return self._segment(limit, stop)
+
+    def _segment(self, limit: int, stop: StopSignal | None) -> int:
         stepper = self.stepper
         if stepper is None:
             stepper = self.stepper = self._factory(self.grid, **self.options)
             self._k = getattr(stepper, "k", 1)
             self._takes_segments = hasattr(stepper, "advance")
-        return stepper
-
-    def step(self) -> bool:
-        if self._done:
-            return False
-        if self._stepper()():
-            self.iterations += self._k
-            return True
-        self._done = True
-        return False
-
-    def advance(self) -> bool:
-        """One segment of the remaining iterations; True while not done.
-
-        A stepper without segments takes one :meth:`step`.
-        """
-        if self.stepper is None and not self._done:
-            self._stepper()  # built now, it tells whether it takes segments
-        if not self._takes_segments or self._done:
-            return self.step()
-        limit = self.max_iterations - self.iterations
-        ran = self._stepper().advance(limit)
+        try:
+            if not self._takes_segments:
+                if stepper():
+                    self.iterations += self._k
+                    return 1
+                self._done = True
+                return 0
+            k = self._k
+            asked = min(limit * k, self.max_iterations - self.iterations)
+            start = stepper.iterations
+            ran = stepper.advance(asked, stop)
+        except BaseException:
+            if self._takes_segments:  # the steps the segment published stand
+                self.iterations += stepper.iterations - start
+            self.close()
+            raise
+        # the stepper also counts the call that found the grid stable
+        self._done = stepper.iterations - start > ran
         self.iterations += ran
-        # a segment that stops short of the budget has reached the fixpoint
-        self._done = ran < -(-limit // self._k) * self._k
-        return not self._done
+        return ran // k
 
     def result(self) -> dict:
         """Fixpoint fingerprint: iterations, final interior, sink counter."""

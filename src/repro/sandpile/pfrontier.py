@@ -22,13 +22,16 @@ Key design points:
   publishes its unstable bbox, sink deficit and counters to its slot,
   and meets the others at the barrier, after which every participant
   derives the same next window from the slots.  The segment ends at the
-  fixpoint or at its step limit (the last step skips the barrier) with
-  one return value per participant carrying the window log (and the
-  per-step times when the backend traces); the grid then takes the
-  plane the last step wrote (:meth:`~repro.easypap.grid.Grid2D.swap_buffer`,
-  as a double-buffered stepper flips), so no copy ever writes a plane a
-  peer may still read, and the next segment carries on from the last
-  cover, outside which both planes agree.
+  fixpoint, at its step limit (the last step skips the barrier), or at
+  a barrier where a participant voted to stop (its
+  :class:`~repro.common.job.StopSignal` was requested or its time had
+  passed), with one return value per participant carrying the window
+  log (and the per-step times when the backend traces); the grid then
+  takes the plane the last step wrote
+  (:meth:`~repro.easypap.grid.Grid2D.swap_buffer`, as a double-buffered
+  stepper flips), so no copy ever writes a plane a peer may still read,
+  and the next segment carries on from the last cover, outside which
+  both planes agree.
   :meth:`ParallelFrontierStepper.advance` runs one segment; a plain call
   is a one-step region that asks only for the participants with rows.
 * **One kernel on every backend.**  On the process backend
@@ -203,9 +206,8 @@ def _frontier_region(ctx, args):
                     ys, xs = slice(r0 + 1, r1 + 1), slice(window[2] + 1, window[3] + 1)
                     deficit += int(src[ys, xs].sum()) - int(dst[ys, xs].sum())
         except Exception:
-            ctx.abort(step)
-            if step + 1 < nsteps:
-                ctx.wait(step)  # the others are waiting for this step: release them
+            if step + 1 < nsteps:  # the others wait for this step: all leave after it
+                ctx.wait(step, leave=True)
             raise
         tiles += ntiles
         if k == 1:
@@ -223,17 +225,6 @@ def _frontier_region(ctx, args):
             break
         bbox = _union(ctx.slots(step - 1)[:, 1:5])
     return log, times
-
-
-class _Segment:
-    """Where a region segment stands: the next step, its bbox, the last cover."""
-
-    __slots__ = ("step", "bbox", "prev")
-
-    def __init__(self, bbox: Window | None, prev: Window | None) -> None:
-        self.step = 0
-        self.bbox = bbox
-        self.prev = prev
 
 
 class ParallelFrontierStepper:
@@ -283,10 +274,12 @@ class ParallelFrontierStepper:
         #: True when the bound planes are shared memory, which close() leaves
         self._shared = plane0 is not grid.data
         grid.swap_buffer(plane0)
-        #: which bound plane the grid holds (regions flip it), and the last
-        #: region step's cover: outside it both planes hold the grid
+        #: which bound plane the grid holds (regions flip it), the last
+        #: region step's cover (outside it both planes hold the grid), and
+        #: the next step of the running region
         self._live = 0
         self._prev: Window | None = None
+        self._step = 0
         self._geo = _Geometry(
             grid.height, grid.width, self.tiles.tile_h, self.tiles.tile_w,
             k, self.nbands, use_compiled,
@@ -319,25 +312,30 @@ class ParallelFrontierStepper:
         """One step of *k* grid iterations; False once the grid is stable."""
         return self.advance(self.k) > 0
 
-    def advance(self, limit: int) -> int:
+    def advance(self, limit: int, stop=None) -> int:
         """Run up to *limit* grid iterations, ``ceil(limit / k)`` steps, as one region.
 
-        Returns the grid iterations run (*k* per step); fewer steps than
-        that means the grid reached its fixpoint.
+        Returns the grid iterations run (*k* per step).  The region ends
+        short of that at the fixpoint, or at a step boundary every
+        participant agrees on once *stop* (a
+        :class:`~repro.common.job.StopSignal`) is requested or its time
+        has passed.
         """
         nsteps = -(-limit // self.k)
-        steps = self._run_region(nsteps)
-        # a call that finds the grid stable still counts its k, as a plain call does
-        self.iterations += self.k * (steps + (steps < nsteps))
+        steps = self._run_region(nsteps, stop)
+        if steps < nsteps and self._bbox is None:
+            # a call that finds the grid stable still counts its k, as a plain call does
+            self.iterations += self.k
         return self.k * steps
 
-    def _run_region(self, nsteps: int) -> int:
+    def _run_region(self, nsteps: int, stop=None) -> int:
         """Up to *nsteps* steps as one region; returns the steps run.
 
-        The grid then holds whichever plane the last step wrote, flipped
-        in like a double-buffered stepper's, and :attr:`_prev` the cover
-        outside which both planes agree, for the next segment to carry
-        on; a region that raises leaves them at the last step it published.
+        The stepper is left at the last step every participant published,
+        also when the region raises: :meth:`_collect` keeps its bbox, its
+        cover (outside which both planes agree) and the counters, and the
+        grid takes the plane it wrote, flipped in like a double-buffered
+        stepper's.
         """
         if self._bbox is None or nsteps < 1:
             return 0
@@ -346,44 +344,41 @@ class ParallelFrontierStepper:
         if nsteps == 1:  # a one-step region needs only the workers with rows
             window = grow_window(self._bbox, geo.height, geo.width, geo.k)
             n = min(n, geo.cover(window)[2])
-        seg = _Segment(self._bbox, self._prev)
+        self._step = 0
         base, live = self.iterations, self._live
         traced = bool(self.backend.trace)
 
         def args():
-            return (geo, base, live, seg.step, nsteps, seg.bbox, seg.prev, traced)
-
-        def collect(m, slots, values):
-            self._collect(seg, m, slots, values)
+            return (geo, base, live, self._step, nsteps, self._bbox, self._prev, traced)
 
         try:
-            self.backend.run_region(_frontier_region, args, collect, nworkers=n)
+            self.backend.run_region(_frontier_region, args, self._collect, nworkers=n, stop=stop)
         finally:
-            if seg.step % 2:
+            if self._step % 2:
                 self._scratch = self.grid.swap_buffer(self._scratch)
                 self._live ^= 1
-            self._bbox, self._prev = seg.bbox, seg.prev
-        return seg.step
+            self.iterations += self.k * self._step
+        return self._step
 
-    def _collect(self, seg: _Segment, m: int, slots: np.ndarray, values: list) -> None:
-        """Advance *seg* to step *m*, the last step every participant published.
+    def _collect(self, m: int, slots: np.ndarray, values: list) -> None:
+        """Advance the region to step *m*, the last step every participant published.
 
         Counters, sink and window log take that step's slots and any
         participant's log (*values*: one per participant); if none
         replied (every worker was lost), the window log misses the
         attempt's steps while the rest stays exact.
         """
-        start = seg.step
+        start = self._step
         if m < start:
             return
         recs = slots[m % 2, : len(values)]
-        seg.bbox = _union(recs[:, 1:5])
-        seg.prev = tuple(int(v) for v in recs[0, 5:9])
+        self._bbox = _union(recs[:, 1:5])
+        self._prev = tuple(int(v) for v in recs[0, 5:9])
         self.grid.sink_absorbed += int(recs[:, 9].sum())
         self.tiles_computed += int(recs[0, 10])
         self.tiles_skipped += int(recs[0, 11])
         self.window_cells += int(recs[0, 12])
-        seg.step = m + 1
+        self._step = m + 1
         replied = [v for v in values if v is not None]
         if replied:
             entries = replied[0][0][: m + 1 - start]

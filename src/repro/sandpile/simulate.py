@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 from repro.common.errors import ConfigurationError
 from repro.common.resilience import DegradationLog, FaultInjector, RetryPolicy
+from repro.common.supervisor import Supervisor
 from repro.easypap.executor import SequentialBackend, make_backend
 from repro.easypap.grid import Grid2D
 from repro.easypap.job import SandpileJob, make_stepper
@@ -44,9 +45,6 @@ from repro.sandpile.vectorized import (
 )
 
 __all__ = ["RunResult", "run_to_fixpoint", "make_stepper"]
-
-#: track group of :func:`run_to_fixpoint`'s per-call wall-clock spans
-DRIVER_PID = "easypap-driver"
 
 
 @dataclass
@@ -266,40 +264,24 @@ def run_to_fixpoint(
     iterations; :class:`~repro.common.errors.SimulationError` is raised
     when *max_iterations* of them pass without reaching the fixpoint.
 
-    The run goes through :meth:`SandpileJob.advance
-    <repro.easypap.job.SandpileJob.advance>`: ``pfrontier`` runs all
-    iterations left in the budget as one segment (one parallel region, of
-    the workers or in process), every other variant one stepper call at a
-    time.
+    A thin caller of the :class:`~repro.common.supervisor.Supervisor`
+    loop, with one attempt per segment and no checkpoints:
+    ``pfrontier`` runs all iterations left in the budget as one segment
+    (one parallel region, of the workers or in process), every other
+    variant one stepper call at a time.
 
     *trace* (a :class:`repro.obs.Tracer`) receives the tile spans of the
     variants that record them, under the ``easypap`` track group, and one
-    wall-clock span per stepper call — per segment for ``pfrontier`` —
-    under ``easypap-driver`` (a pid of its own: tile spans
-    run on batch time, not on the tracer's clock), named after the grid
-    iteration the call starts from.  A falsy tracer
-    (None or :class:`repro.obs.NullTracer`) costs one branch per call —
+    wall-clock span per segment under ``easypap-driver`` (a pid of its
+    own: tile spans run on batch time, not on the tracer's clock), named
+    after the grid iteration the segment starts from.  A falsy tracer
+    (None or :class:`repro.obs.NullTracer`) costs one branch per segment —
     the hot-path guard the overhead benchmark holds to <=5%.
     """
-    traced = bool(trace)
     with SandpileJob(
         grid, kernel, variant, max_iterations=max_iterations, trace=trace, **options
     ) as job:
-        more = True
-        while more:
-            if traced:
-                with trace.span(
-                    f"iteration {job.iterations}",
-                    cat="iteration",
-                    pid=DRIVER_PID,
-                    tid="driver",
-                ) as span_args:
-                    span_args["iteration"] = job.iterations
-                    span_args["kernel"] = kernel
-                    span_args["variant"] = variant
-                    more = job.advance()
-            else:
-                more = job.advance()
+        Supervisor(job, retry=RetryPolicy(max_attempts=1)).run()
         stepper = job.stepper
     return RunResult(
         kernel=kernel,

@@ -149,6 +149,74 @@ class TestSupervisorRun:
             Supervisor(CountJob(3), checkpoint_every_steps=1)
 
 
+class SegmentJob(CountJob):
+    """A CountJob that runs a whole segment of steps per advance, as a
+    parallel region does; records the step limit of every segment."""
+
+    def __init__(self, n):
+        super().__init__(n)
+        self.limits = []
+
+    def advance(self, limit, stop=None):
+        self.limits.append(limit)
+        ran = min(limit, self.n - 1 - self.i)
+        if ran <= 0:
+            return 1 if self.step() else 0  # the last step
+        self.i += ran
+        return ran
+
+
+class TestSegments:
+    def test_segments_end_at_checkpoints_and_stop_after_steps(self, tmp_path):
+        job = SegmentJob(10)
+        seen = []
+        sup = Supervisor(
+            job, retry=FAST, store=CheckpointStore(tmp_path, keep=10),
+            checkpoint_every_steps=4, on_step=lambda n, p: seen.append((n, p.steps_done)),
+        )
+        with pytest.raises(JobInterrupted) as exc_info:
+            sup.run(stop_after_steps=6)
+        assert exc_info.value.steps_done == 6
+        assert job.limits == [4, 2]
+        assert sup.run() == 10
+        # the last segment's one step finds the job done
+        assert job.limits == [4, 2, 2, 4, 3]
+        assert seen == [(4, 4), (6, 6), (8, 8), (9, 9), (10, 10)]
+        assert sup.steps_done == sup.heartbeat.count == 10
+        assert sup.checkpoints_written == 3  # steps 4 and 8, and the stop at 6
+
+    def test_a_later_run_drops_an_earlier_deadline(self):
+        class Recording(SegmentJob):
+            def advance(self, limit, stop=None):
+                self.ats.append(stop.at)
+                return super().advance(limit, stop)
+
+        job = Recording(10)
+        job.ats = []
+        sup = Supervisor(job, retry=FAST)
+        with pytest.raises(JobInterrupted):
+            sup.run(stop_after_steps=3, deadline=Deadline(60.0))
+        assert job.ats[0] is not None  # the segment may end at the deadline
+        job.ats.clear()
+        assert sup.run() == 10
+        assert job.ats == [None, None]
+
+    def test_steps_count_once_per_segment_like_single_steps(self):
+        from repro.obs.metrics import MetricsRegistry
+
+        counts = []
+        for job in (CountJob(7), SegmentJob(7)):
+            reg = MetricsRegistry()
+            sup = Supervisor(job, retry=FAST, metrics=reg)
+            assert sup.run() == 7
+            steps = reg.get("supervisor_steps_total").value(substrate="test", job="count")
+            counts.append((sup.steps_done, sup.heartbeat.count, steps))
+        assert counts == [(7, 7, 7.0), (7, 7, 7.0)]
+        assert SegmentJob(7).run() == 7
+        with pytest.raises(ConfigurationError, match="max_steps"):
+            SegmentJob(7).run(max_steps=6)
+
+
 class TestCheckpointResume:
     def test_interval_checkpoints_written(self, tmp_path):
         store = CheckpointStore(tmp_path, keep=10)

@@ -237,6 +237,46 @@ class TestRegion:
         assert total / result.iterations < 0.1  # attach + region + detach, per job
 
     @needs_processes
+    @pytest.mark.parametrize("k,steps,iterations", [(1, 198, 197), (4, 51, 200)])
+    def test_supervised_run_takes_segments(self, tmp_path, k, steps, iterations):
+        """Supervisor.run asks for segments: under a tenth of a command per
+        grid iteration, as many steps counted as a step-by-step run, and
+        with checkpoints every 16 steps one region per interval, plus one."""
+        from repro.common.checkpoint import CheckpointStore
+        from repro.common.supervisor import Supervisor
+        from repro.easypap.job import SandpileJob
+        from repro.sandpile.model import center_pile
+        from repro.sandpile.theory import stabilize
+
+        oracle = stabilize(center_pile(48, 48, 1152))
+
+        def job(reg):
+            return SandpileJob(center_pile(48, 48, 1152), "sandpile", "pfrontier",
+                               nworkers=2, tile_size=8, k=k, metrics=reg)
+
+        reg, sreg = MetricsRegistry(), MetricsRegistry()
+        with job(reg) as j:
+            sup = Supervisor(j, metrics=sreg)
+            result = sup.run()
+        assert np.array_equal(result["grid"], oracle.interior)
+        assert (sup.steps_done, sup.heartbeat.count, result["iterations"]) == (
+            steps, steps, iterations,
+        )
+        counted = sreg.get("supervisor_steps_total")
+        assert counted.value(substrate="easypap", job="sandpile/pfrontier") == steps
+        commands = reg.get("easypap_dispatch_commands_total")
+        assert sum(row["value"] for row in commands.samples()) / iterations < 0.1
+
+        reg = MetricsRegistry()
+        with job(reg) as j:
+            sup = Supervisor(j, store=CheckpointStore(tmp_path), checkpoint_every_steps=16)
+            result = sup.run()
+        assert np.array_equal(result["grid"], oracle.interior)
+        assert (sup.steps_done, result["iterations"]) == (steps, iterations)
+        regions = reg.get("easypap_dispatch_commands_total").value(mode="region") / 2
+        assert regions <= steps // 16 + 1
+
+    @needs_processes
     def test_one_step_region_commands_only_workers_with_rows(self):
         from repro.sandpile.pfrontier import ParallelFrontierStepper
 

@@ -506,3 +506,68 @@ class TestRegionFaults:
                 allow_fallback=False, degradation=log, fault_injector=injector,
             )
         assert len(log.by_action("give-up")) == 1
+
+
+class TestJobSegmentFaults:
+    """A ``pfrontier`` segment that raises under its :class:`SandpileJob`:
+    the job keeps the steps the segment published, and the next segment
+    runs on a stepper rebuilt from the grid."""
+
+    @staticmethod
+    def _job(injector, log):
+        from repro.easypap.job import SandpileJob
+        from repro.sandpile.model import center_pile
+
+        return SandpileJob(
+            center_pile(24, 24, 1200), "sandpile", "pfrontier", nworkers=2, tile_size=8,
+            retry=RetryPolicy(max_attempts=1, base_delay=0.0), allow_fallback=False,
+            fault_injector=injector, degradation=log,
+        )
+
+    @staticmethod
+    def _check_fixpoint(result):
+        from repro.sandpile.model import center_pile
+        from repro.sandpile.simulate import run_to_fixpoint
+        from repro.sandpile.theory import stabilize
+
+        oracle = stabilize(center_pile(24, 24, 1200))
+        assert np.array_equal(result["grid"], oracle.interior)
+        assert result["sink_absorbed"] == oracle.sink_absorbed
+        frontier = run_to_fixpoint(center_pile(24, 24, 1200), "sandpile", "frontier")
+        assert result["iterations"] == frontier.iterations == 213
+
+    @needs_processes
+    def test_raising_segment_keeps_the_steps_it_published(self):
+        from repro.sandpile.model import center_pile
+        from repro.sandpile.vectorized import FrontierSyncStepper
+
+        log = DegradationLog()
+        injector = FaultInjector(kill_on_tasks={2 * 5 + 1}, max_fires=1)
+        with self._job(injector, log) as job:
+            with pytest.raises(SchedulingError, match="retries exhausted"):
+                job.advance(10**6)
+            assert job.iterations == 5
+            ref = center_pile(24, 24, 1200)
+            stepper = FrontierSyncStepper(ref)
+            for _ in range(5):
+                stepper()
+            assert np.array_equal(job.grid.data, ref.data)
+            assert job.grid.sink_absorbed == ref.sink_absorbed
+            result = job.run()  # on a stepper rebuilt from the grid
+        assert injector.fires == 1
+        assert len(log.by_action("give-up")) == 1
+        self._check_fixpoint(result)
+
+    @needs_processes
+    def test_supervisor_retry_resumes_on_a_rebuilt_stepper(self):
+        from repro.common.supervisor import Supervisor
+
+        log = DegradationLog()
+        injector = FaultInjector(kill_on_tasks={1})
+        with self._job(injector, log) as job:
+            sup = Supervisor(job, retry=RetryPolicy(max_attempts=3, base_delay=0.0))
+            result = sup.run()
+        assert injector.fires == 1
+        assert len(log.by_action("give-up")) == 1
+        assert sup.retries_used == 1
+        self._check_fixpoint(result)

@@ -1,11 +1,22 @@
-"""Tests for SandpileJob, the easypap Job adapter (sequential variants)."""
+"""Tests for SandpileJob, the easypap Job adapter."""
+
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from repro.common.checkpoint import CheckpointStore
 from repro.common.errors import CheckpointError
+from repro.common.resilience import Deadline
+from repro.common.supervisor import JobInterrupted, Supervisor
+from repro.easypap.executor import ProcessBackend
 from repro.easypap.grid import Grid2D
 from repro.easypap.job import SandpileJob
+from repro.sandpile.model import center_pile
+from repro.sandpile.simulate import run_to_fixpoint
+from repro.sandpile.theory import stabilize
+from repro.sandpile.vectorized import FrontierSyncStepper
 
 
 def _pile(n=16, grains=256):
@@ -71,3 +82,64 @@ class TestCheckpoint:
             before = snap["plane"].copy()
             job.run()
             assert np.array_equal(snap["plane"], before)
+
+
+def _big_pile():
+    return center_pile(64, 64, 12_000)  # 2,093 grid iterations to its fixpoint
+
+
+def _stop_once_running(job, sup):
+    """Request a stop from this thread once the grid has started to move."""
+    start = _big_pile().interior
+    give_up = time.monotonic() + 60
+    while np.array_equal(job.grid.interior, start) and time.monotonic() < give_up:
+        time.sleep(0.001)
+    sup.request_stop()
+
+
+class TestMidSegmentStop:
+    """A stop that arrives while a ``pfrontier`` segment runs, from another
+    thread or by an expiring deadline, ends the segment at a step boundary
+    every participant agrees on, on worker processes and in process."""
+
+    @pytest.mark.parametrize("trigger", ["request_stop", "deadline"])
+    @pytest.mark.parametrize("backend", [
+        pytest.param("process", marks=pytest.mark.skipif(
+            not ProcessBackend.available(), reason="fork/shared_memory unavailable")),
+        "sequential",
+    ])
+    def test_interrupts_at_a_step_boundary_and_resumes(self, tmp_path, backend, trigger):
+        opts = dict(variant="pfrontier", backend=backend, nworkers=2, tile_size=8)
+        steps = run_to_fixpoint(_big_pile(), "sandpile", "frontier").iterations + 1
+        store = CheckpointStore(tmp_path)
+        with SandpileJob(_big_pile(), **opts) as job:
+            sup = Supervisor(job, store=store)
+            watcher = None
+            if trigger == "request_stop":
+                watcher = threading.Thread(target=_stop_once_running, args=(job, sup))
+                watcher.start()
+            try:
+                with pytest.raises(JobInterrupted) as info:
+                    sup.run(deadline=Deadline(0.02) if trigger == "deadline" else None)
+            finally:
+                if watcher is not None:
+                    watcher.join()
+        intr = info.value
+        assert intr.snapshot_path is not None
+        assert 0 < intr.steps_done < steps  # one segment, stopped inside it
+        snap = store.load_latest()
+        assert snap.step == snap.state["iterations"] == intr.steps_done  # k = 1
+        ref = _big_pile()
+        frontier = FrontierSyncStepper(ref)
+        for _ in range(intr.steps_done):
+            frontier()
+        assert np.array_equal(snap.state["plane"][1:-1, 1:-1], ref.interior)
+        assert snap.state["sink_absorbed"] == ref.sink_absorbed
+
+        with SandpileJob(_big_pile(), **opts) as job2:
+            sup2 = Supervisor(job2, store=store)
+            result = sup2.resume()
+        oracle = stabilize(_big_pile())
+        assert np.array_equal(result["grid"], oracle.interior)
+        assert result["sink_absorbed"] == oracle.sink_absorbed
+        assert sup2.steps_done == steps

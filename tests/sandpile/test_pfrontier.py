@@ -237,6 +237,29 @@ def test_fused_drivers_count_grid_iterations():
     assert budgeted.iterations == result.iterations
 
 
+@needs_processes
+def test_app_frames_and_callbacks_bound_the_segments():
+    """EasyPapApp's frames end pfrontier's segments, one region per frame,
+    on the frames the single-worker frontier app takes; with on_iteration
+    every step is a segment of its own."""
+    from repro.obs.metrics import MetricsRegistry
+
+    reg = MetricsRegistry()
+    with EasyPapApp("sandpile", "pfrontier", center_pile(24, 24, 400), tile_size=8,
+                    nworkers=2, metrics=reg) as app:
+        got = app.run(frame_every=10)
+    want = EasyPapApp("sandpile", "frontier", center_pile(24, 24, 400)).run(frame_every=10)
+    assert got.converged and got.iterations == want.iterations
+    assert got.frame_iterations == want.frame_iterations
+    assert all(np.array_equal(a, b) for a, b in zip(got.frames, want.frames))
+    assert reg.get("easypap_dispatch_commands_total").value(mode="region") / 2 <= len(got.frames)
+    seen = []
+    with EasyPapApp("sandpile", "pfrontier", center_pile(24, 24, 400), tile_size=8,
+                    nworkers=2) as app:
+        app.run(on_iteration=lambda it, g: seen.append(it))
+    assert seen == list(range(1, want.iterations + 1))
+
+
 # -- compiled path (numba optional, NumPy fallback always present) ------------
 
 

@@ -205,6 +205,24 @@ class TestCancellation:
 
         run(body())
 
+    def test_cancel_running_pfrontier_segment(self):
+        """A running ``pfrontier`` job takes its steps as one segment (one
+        parallel region); a cancel ends it at a step boundary inside it."""
+        spec = JobSpec("easypap", "sandpile", {"size": 64, "grains": 12000, "variant": "pfrontier"})
+
+        async def body():
+            async with JobService([TenantPolicy(name="a")], workers=1) as svc:
+                handle = svc.submit(spec, tenant="a")
+                while handle.status != JobHandle.RUNNING:
+                    await asyncio.sleep(0.001)
+                await asyncio.sleep(0.05)
+                handle.cancel()
+                with pytest.raises(JobCancelled, match=r"after [1-9][0-9]* steps"):
+                    await handle.result()
+                assert handle.status == JobHandle.CANCELLED
+
+        run(body())
+
     def test_cancel_done_handle_is_false(self):
         async def body():
             async with JobService([TenantPolicy(name="a")], workers=1) as svc:
