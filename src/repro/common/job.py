@@ -100,7 +100,8 @@ class Job(abc.ABC):
       uninterrupted one.
     * :attr:`retryable_steps` declares that a step which *raised* left no
       partial state behind, so a supervisor may simply call it again (a
-      segment that raised keeps the steps it completed).
+      segment that raised keeps the steps it completed, and sets the
+      exception's ``steps_published`` to their number when there are any).
     * :meth:`describe` returns the canonical construction-time fields —
       the content-addressed cache in :mod:`repro.serve` hashes them, so
       two jobs whose ``describe()`` dicts are equal must compute

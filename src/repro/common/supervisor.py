@@ -186,7 +186,11 @@ class Supervisor:
         ``(steps_done, progress)`` — the progress-streaming hook the
         :mod:`repro.serve` service uses to publish
         :class:`~repro.common.job.JobProgress` snapshots without polling.
-        It runs on the supervising thread and must not raise.
+        It runs on the supervising thread and must not raise.  The loop
+        reads the attribute afresh after each segment, so another thread
+        may set or clear it mid-run (the service sets it only while a
+        handle has a progress subscriber); ``job.progress()`` runs only
+        when it is set.
     """
 
     def __init__(
@@ -232,6 +236,8 @@ class Supervisor:
         self.handle_sigterm = handle_sigterm
         self.on_step = on_step
         self.steps_done = 0
+        #: the part of steps_done already added to supervisor_steps_total
+        self._steps_counted = 0
         self.retries_used = 0
         self.checkpoints_written = 0
         #: ends a running segment early: request_stop, a deadline, a checkpoint
@@ -262,6 +268,19 @@ class Supervisor:
                 amount, substrate=self.job.substrate, job=self.job.name
             )
 
+    def _tally(self, steps: int) -> None:
+        """*steps* more steps done: ``steps_done`` and the heartbeat now,
+        ``supervisor_steps_total`` at the next :meth:`_flush_steps`."""
+        self.steps_done += steps
+        self.heartbeat.beat(steps)
+
+    def _flush_steps(self) -> None:
+        """Add the steps done since the last flush to ``supervisor_steps_total``."""
+        steps = self.steps_done - self._steps_counted
+        if steps:
+            self._steps_counted = self.steps_done
+            self._count("supervisor_steps_total", "job steps completed under supervision", steps)
+
     # -- checkpointing ----------------------------------------------------------
 
     def request_stop(self) -> None:
@@ -273,6 +292,7 @@ class Supervisor:
         """Write a snapshot now; returns its path (None without a store)."""
         if self.store is None or not self.job.supports_checkpoint:
             return None
+        self._flush_steps()
         path = self.store.save(
             self.job.checkpoint(),
             step=self.steps_done,
@@ -299,8 +319,14 @@ class Supervisor:
 
     # -- the run loop -----------------------------------------------------------
 
-    def _advance_with_retries(self, limit: int) -> int:
-        """One segment of at most *limit* steps under the retry policy and breaker."""
+    def _advance_with_retries(self, limit: int) -> bool:
+        """One segment of at most *limit* steps under the retry policy and
+        breaker; tallies its steps and returns True once the job is done.
+
+        A segment that raises keeps the steps it published (the
+        exception's ``steps_published``): they are tallied as a
+        step-by-step run would, and a retry runs only the rest of *limit*.
+        """
         if not self.breaker.allow():
             self._degrade("circuit-open", "breaker refused the step")
             raise CircuitOpenError(
@@ -311,10 +337,18 @@ class Supervisor:
             attempt += 1
             try:
                 ran = self.job.advance(limit, self._stop)
-            except ReproError as exc:
+            except BaseException as exc:
+                kept = getattr(exc, "steps_published", 0)
+                if kept:
+                    self._tally(kept)
+                    limit -= kept
+                if not isinstance(exc, ReproError):
+                    raise
                 self.breaker.record_failure()
                 if not self.job.retryable_steps or self.retry.retries_left(attempt) == 0:
                     raise
+                if limit == 0:  # every step asked for was published: the segment is over
+                    return False
                 self.retries_used += 1
                 self._count("supervisor_retries_total", "step retries by the supervisor")
                 self._degrade("step-retry", repr(exc), attempt=attempt)
@@ -325,7 +359,8 @@ class Supervisor:
                     ) from exc
             else:
                 self.breaker.record_success()
-                return ran
+                self._tally(ran or 1)  # the call that finds the job done is its last step
+                return not ran
 
     def _arm_segment(self, stop_at: int | None, deadline: Deadline | None) -> int:
         """The next segment's step limit; sets the instant it must end by."""
@@ -358,9 +393,11 @@ class Supervisor:
         chaos scenarios kill a run mid-flight without real signals.  A
         *deadline* whose budget expires interrupts the same graceful way
         at the next step boundary, so an over-budget run leaves a
-        resumable snapshot instead of a hard abort.  Steps, heartbeat
-        pulses and ``supervisor_steps_total`` add each segment's steps
-        once it returns, as many as a step-by-step run counts.
+        resumable snapshot instead of a hard abort.  ``steps_done`` and
+        the heartbeat add each segment's steps once it returns (or
+        raises), as many as a step-by-step run counts;
+        ``supervisor_steps_total`` adds them once per checkpoint and once
+        when the run ends, however it ends.
         """
         if resume:
             self.restore_latest()
@@ -375,6 +412,7 @@ class Supervisor:
         bounded = stop_at is not None or deadline is not None or self.store is not None
         limit, stop = sys.maxsize, self._stop
         stop.at = None  # a deadline of an earlier run() no longer applies
+        self._steps_counted = self.steps_done  # restored steps ran under another run
         try:
             while True:
                 why = (
@@ -393,20 +431,16 @@ class Supervisor:
                     )
                 if bounded:
                     limit = self._arm_segment(stop_at, deadline)
-                ran = self._advance_with_retries(limit)
-                steps = ran or 1  # the call that finds the job done is its last step
-                self.steps_done += steps
-                self.heartbeat.beat(steps)
-                self._count(
-                    "supervisor_steps_total", "job steps completed under supervision", steps
-                )
-                if self.on_step is not None:
-                    self.on_step(self.steps_done, self.job.progress())
+                done = self._advance_with_retries(limit)
+                on_step = self.on_step  # another thread may clear it
+                if on_step is not None:
+                    on_step(self.steps_done, self.job.progress())
                 if self.store is not None and self._checkpoint_due():
                     self._checkpoint(reason="interval")
-                if not ran:
+                if done:
                     break
         finally:
+            self._flush_steps()
             if use_signal:
                 signal.signal(signal.SIGTERM, prev_handler)
         return self.job.result()

@@ -186,7 +186,8 @@ class SandpileJob(Job):
     def advance(self, limit: int, stop: StopSignal | None = None) -> int:
         """Up to *limit* steps as one segment (one stepper call unless the
         stepper has ``advance``, as ``pfrontier`` does); a call that raises
-        keeps the steps its segment published and closes the stepper, so the
+        keeps the steps its segment published, counts them in the
+        exception's ``steps_published``, and closes the stepper, so the
         next runs on a fresh one built from the grid (exact, as
         restore-by-rebuild is).  Traced, each call is one span under
         :data:`DRIVER_PID`, named after the iteration it starts from."""
@@ -220,9 +221,11 @@ class SandpileJob(Job):
             asked = min(limit * k, self.max_iterations - self.iterations)
             start = stepper.iterations
             ran = stepper.advance(asked, stop)
-        except BaseException:
+        except BaseException as exc:
             if self._takes_segments:  # the steps the segment published stand
-                self.iterations += stepper.iterations - start
+                published = stepper.iterations - start
+                self.iterations += published
+                exc.steps_published = published // self._k
             self.close()
             raise
         # the stepper also counts the call that found the grid stable

@@ -37,6 +37,7 @@ at the next step boundary — the handle's ``result()`` then raises
 from __future__ import annotations
 
 import asyncio
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -90,6 +91,11 @@ class JobHandle:
         self._ticket: int | None = None
         self._supervisor: Supervisor | None = None
         self._cancel_requested = False
+        # the progress hand-off between the executor thread and the loop:
+        # the newest snapshot, and whether a _publish callback is pending
+        self._lock = threading.Lock()
+        self._latest = None
+        self._handoff = False
         # tracer-clock timestamps for the span/flow wake
         self._trace_ts: dict[str, float] = {}
 
@@ -108,13 +114,18 @@ class JobHandle:
     async def progress(self):
         """Async-iterate :class:`~repro.common.job.JobProgress` snapshots.
 
-        One snapshot per completed supervised step (pushed by the
-        supervisor's ``on_step`` hook), ending when the job resolves.
+        While the handle has a subscriber, the supervisor offers a
+        snapshot after every completed segment; the event loop takes the
+        newest one each time it gets round to it, so snapshots never go
+        backwards, one offered while the loop is busy replaces the one
+        before it, and the last before the end is the final state.  The
+        stream ends when the job resolves.
         """
         if self.done():
             return
         q: asyncio.Queue = asyncio.Queue()
         self._subs.append(q)
+        self._watch()
         try:
             while True:
                 item = await q.get()
@@ -123,10 +134,37 @@ class JobHandle:
                 yield item
         finally:
             self._subs.remove(q)
+            self._watch()
 
-    # -- service-side plumbing (event-loop thread only) ---------------------------
+    # -- service-side plumbing ----------------------------------------------------
 
-    def _publish(self, progress) -> None:
+    def _watch(self) -> None:
+        """Hook the running supervisor's ``on_step`` to :meth:`_offer` while
+        the handle has subscribers, and unhook it once it has none.  The
+        executor thread calls it when the supervisor exists, the loop when
+        subscribers come and go; under the lock, the later call sees both."""
+        with self._lock:
+            sup = self._supervisor
+            if sup is not None:
+                sup.on_step = self._offer if self._subs else None
+
+    def _offer(self, _steps, progress) -> None:
+        """``on_step`` hook (executor thread): keep the newest snapshot, and
+        wake the loop only when no :meth:`_publish` is pending already."""
+        with self._lock:
+            self._latest = progress
+            if self._handoff:
+                return
+            self._handoff = True
+        try:
+            self._future.get_loop().call_soon_threadsafe(self._publish)
+        except RuntimeError:  # loop closed during shutdown
+            pass
+
+    def _publish(self) -> None:
+        """Hand the newest snapshot to every subscriber (event-loop thread)."""
+        with self._lock:
+            progress, self._handoff = self._latest, False
         for q in self._subs:
             q.put_nowait(progress)
 
@@ -178,7 +216,6 @@ class JobService:
         self._queue = AdmissionQueue(self.policies)
         self._active: dict[str, int] = {}
         self._peak_active: dict[str, int] = {}
-        self._handles: list[JobHandle] = []
         self._worker_tasks: list[asyncio.Task] = []
         self._pool: ThreadPoolExecutor | None = None
         self._wake: asyncio.Event | None = None
@@ -242,7 +279,6 @@ class JobService:
             handle = JobHandle(self, spec, tenant, key="")
             return self._resolve_rejected(handle, Rejected("invalid-spec", tenant, str(exc)))
         handle = JobHandle(self, spec, tenant, key)
-        self._handles.append(handle)
         self._trace_instant(handle, "serve:submit")
         if not self._started or self._draining:
             return self._resolve_rejected(
@@ -288,8 +324,9 @@ class JobService:
                 self._count_job(handle, "cancelled")
                 self._gauge_queue_depth()
                 return True
-        if handle._supervisor is not None:
-            handle._supervisor.request_stop()
+        sup = handle._supervisor  # the executor thread clears it when the run ends
+        if sup is not None:
+            sup.request_stop()
         return True
 
     # -- the worker loop ----------------------------------------------------------
@@ -323,7 +360,7 @@ class JobService:
             t_run0 = self._trace_now()
             try:
                 outcome, payload = await loop.run_in_executor(
-                    self._pool, self._run_supervised, handle, loop
+                    self._pool, self._run_supervised, handle
                 )
             finally:
                 self._active[tenant] -= 1
@@ -370,24 +407,20 @@ class JobService:
             self._count_job(handle, outcome)
             self._wake.set()  # a quota slot freed; peers may have work now
 
-    def _run_supervised(self, handle: JobHandle, loop) -> tuple:
-        """Executor-thread body: build the job, drive it under supervision."""
+    def _run_supervised(self, handle: JobHandle) -> tuple:
+        """Executor-thread body: build the job, drive it under supervision.
 
-        def on_step(_steps, progress):
-            try:
-                loop.call_soon_threadsafe(handle._publish, progress)
-            except RuntimeError:  # loop closed during shutdown
-                pass
-
+        The loop hears from this thread only while the handle has a
+        progress subscriber (see :meth:`JobHandle._watch`); a job nobody
+        watches reaches it once, when the run returns.
+        """
         try:
             with handle.spec.build() as job:
                 if handle._cancel_requested:
                     return "cancelled", JobInterrupted("cancelled before start", steps_done=0)
-                sup = Supervisor(
-                    job, retry=self.retry, metrics=self.metrics, tracer=self.tracer,
-                    on_step=on_step,
-                )
+                sup = Supervisor(job, retry=self.retry, metrics=self.metrics, tracer=self.tracer)
                 handle._supervisor = sup
+                handle._watch()  # a subscriber that came first
                 if handle._cancel_requested:  # cancel raced the supervisor hookup
                     sup.request_stop()
                 try:
@@ -477,7 +510,3 @@ class JobService:
                 "hit_rate": self.cache.hit_rate, "entries": len(self.cache),
             }
         return out
-
-    def handles(self) -> list[JobHandle]:
-        """Every handle this service minted, in submission order."""
-        return list(self._handles)

@@ -22,6 +22,23 @@ from tests.common.test_job import CountJob
 FAST = RetryPolicy(max_attempts=3, base_delay=0.0)
 
 
+def steps_total(reg):
+    """``supervisor_steps_total`` of the test jobs in *reg*."""
+    return reg.get("supervisor_steps_total").value(substrate="test", job="count")
+
+
+def record_saves(store, reg):
+    """Make *store* record ``(step, supervisor_steps_total)`` at every save."""
+    saved, save = [], store.save
+
+    def recording(state, **kw):
+        saved.append((kw["step"], steps_total(reg)))
+        return save(state, **kw)
+
+    store.save = recording
+    return saved
+
+
 class TestCircuitBreaker:
     def test_trips_after_threshold(self):
         br = CircuitBreaker(failure_threshold=3, reset_timeout=60.0)
@@ -168,22 +185,60 @@ class SegmentJob(CountJob):
 
 class TestSegments:
     def test_segments_end_at_checkpoints_and_stop_after_steps(self, tmp_path):
+        from repro.obs.metrics import MetricsRegistry
+
         job = SegmentJob(10)
         seen = []
+        reg = MetricsRegistry()
+        store = CheckpointStore(tmp_path, keep=10)
+        saved = record_saves(store, reg)
         sup = Supervisor(
-            job, retry=FAST, store=CheckpointStore(tmp_path, keep=10),
+            job, retry=FAST, store=store, metrics=reg,
             checkpoint_every_steps=4, on_step=lambda n, p: seen.append((n, p.steps_done)),
         )
         with pytest.raises(JobInterrupted) as exc_info:
             sup.run(stop_after_steps=6)
-        assert exc_info.value.steps_done == 6
+        assert exc_info.value.steps_done == 6 == steps_total(reg)
         assert job.limits == [4, 2]
         assert sup.run() == 10
         # the last segment's one step finds the job done
         assert job.limits == [4, 2, 2, 4, 3]
         assert seen == [(4, 4), (6, 6), (8, 8), (9, 9), (10, 10)]
-        assert sup.steps_done == sup.heartbeat.count == 10
-        assert sup.checkpoints_written == 3  # steps 4 and 8, and the stop at 6
+        assert sup.steps_done == sup.heartbeat.count == steps_total(reg) == 10
+        # steps 4 and 8, and the stop at 6; the counter is exact at each
+        assert saved == [(4, 4.0), (6, 6.0), (8, 8.0)]
+        assert sup.checkpoints_written == 3
+
+    def test_a_raising_segment_counts_the_steps_it_published(self, tmp_path):
+        """A segment that raises after publishing steps: they count as a
+        step-by-step run counts them, and the retry runs only the rest of
+        the segment, or none when every step asked for was published."""
+        from repro.obs.metrics import MetricsRegistry
+
+        class Losing(SegmentJob):
+            def __init__(self, n, published):
+                super().__init__(n)
+                self.published = list(published)  # per raising segment
+
+            def advance(self, limit, stop=None):
+                if not self.published:
+                    return super().advance(limit, stop)
+                self.limits.append(limit)
+                self.i += self.published[0]
+                exc = SimulationError("lost a worker")
+                exc.steps_published = self.published.pop(0)
+                raise exc
+
+        job = Losing(10, published=[3, 1])
+        reg = MetricsRegistry()
+        store = CheckpointStore(tmp_path, keep=10)
+        saved = record_saves(store, reg)
+        sup = Supervisor(job, retry=FAST, store=store, checkpoint_every_steps=4, metrics=reg)
+        assert sup.run() == 10
+        assert job.limits == [4, 1, 4, 4, 3]
+        assert sup.retries_used == 1  # the second raise published the segment's last step
+        assert sup.steps_done == sup.heartbeat.count == steps_total(reg) == 10
+        assert saved == [(4, 4.0), (8, 8.0)]
 
     def test_a_later_run_drops_an_earlier_deadline(self):
         class Recording(SegmentJob):
@@ -237,15 +292,21 @@ class TestCheckpointResume:
         assert sup.checkpoints_written >= 1
 
     def test_stop_after_steps_then_resume(self, tmp_path):
+        from repro.obs.metrics import MetricsRegistry
+
+        reg = MetricsRegistry()
         store = CheckpointStore(tmp_path)
-        sup = Supervisor(CountJob(10), retry=FAST, store=store, checkpoint_every_steps=2)
+        sup = Supervisor(
+            CountJob(10), retry=FAST, store=store, checkpoint_every_steps=2, metrics=reg
+        )
         with pytest.raises(JobInterrupted) as exc_info:
             sup.run(stop_after_steps=5)
-        assert exc_info.value.steps_done == 5
+        assert exc_info.value.steps_done == 5 == steps_total(reg)
         assert exc_info.value.snapshot_path is not None
-        sup2 = Supervisor(CountJob(10), retry=FAST, store=store)
+        sup2 = Supervisor(CountJob(10), retry=FAST, store=store, metrics=reg)
         assert sup2.resume() == 10
-        assert sup2.steps_done == 10
+        # the resumed run counts only its own steps: together, each step once
+        assert sup2.steps_done == steps_total(reg) == 10
 
     def test_deadline_interrupts_gracefully(self, tmp_path):
         store = CheckpointStore(tmp_path)

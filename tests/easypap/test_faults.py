@@ -571,3 +571,24 @@ class TestJobSegmentFaults:
         assert len(log.by_action("give-up")) == 1
         assert sup.retries_used == 1
         self._check_fixpoint(result)
+
+    @needs_processes
+    def test_supervisor_counts_the_steps_a_raising_segment_published(self):
+        """The steps a raising segment published count once each, as they
+        would step by step: 213 iterations plus the call that finds the
+        grid stable, with or without the fault."""
+        from repro.common.supervisor import Supervisor
+        from repro.obs.metrics import MetricsRegistry
+
+        reg = MetricsRegistry()
+        injector = FaultInjector(kill_on_tasks={2 * 5 + 1}, max_fires=1)
+        with self._job(injector, DegradationLog()) as job:
+            sup = Supervisor(job, retry=RetryPolicy(max_attempts=3, base_delay=0.0), metrics=reg)
+            result = sup.run()
+        steps = reg.get("supervisor_steps_total").value(
+            substrate="easypap", job="sandpile/pfrontier"
+        )
+        assert injector.fires == 1
+        assert sup.retries_used == 1
+        assert (sup.steps_done, sup.heartbeat.count, steps) == (214, 214, 214.0)
+        self._check_fixpoint(result)

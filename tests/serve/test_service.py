@@ -6,6 +6,12 @@ pytest-asyncio dependency).
 """
 
 import asyncio
+import collections
+import gc
+import sys
+import threading
+import time
+import weakref
 
 import pytest
 
@@ -257,6 +263,117 @@ class TestProgressStreaming:
                 return [p async for p in handle.progress()]
 
         assert run(body()) == []
+
+
+class TestProgressHandoff:
+    """The executor thread wakes the event loop for progress only while a
+    handle has a subscriber, with at most one hand-off pending per handle."""
+
+    def test_unwatched_job_wakes_the_loop_as_often_at_200_steps_as_at_10(self):
+        async def wakeups(svc, n):
+            loop = asyncio.get_running_loop()
+            calls = []
+            call = loop.call_soon_threadsafe
+
+            def counting(callback, *args):
+                calls.append(callback)
+                return call(callback, *args)
+
+            loop.call_soon_threadsafe = counting
+            try:
+                handle = svc.submit(JobSpec("test", "slow-count", {"n": n, "delay": 0.0}),
+                                    tenant="a")
+                assert await handle.result() == {"count": n}
+            finally:
+                del loop.call_soon_threadsafe
+            return len(calls)
+
+        async def body():
+            async with JobService([TenantPolicy(name="a")], workers=1) as svc:
+                return [await wakeups(svc, n) for n in (10, 200)]
+
+        short, long = run(body())
+        assert short == long
+
+    def test_watched_jobs_keep_one_handoff_pending(self, monkeypatch):
+        """Three watched jobs on three worker threads (more than the
+        cores), a short switch interval and a loop kept busy by its
+        readers: per handle at most one hand-off is pending, snapshots
+        never go backwards, and each stream ends with the final state."""
+        lock = threading.Lock()
+        pending, most = collections.Counter(), collections.Counter()
+        real_publish = JobHandle._publish
+
+        def publish(handle, *args):
+            with lock:
+                pending[id(handle)] -= 1
+            real_publish(handle, *args)
+
+        monkeypatch.setattr(JobHandle, "_publish", publish)
+
+        async def watch(handle):
+            seen = []
+            async for p in handle.progress():
+                seen.append(p)
+                time.sleep(0.005)  # a busy loop: the job runs on meanwhile
+            return seen, await handle.result()
+
+        async def body():
+            loop = asyncio.get_running_loop()
+            call = loop.call_soon_threadsafe
+
+            def counting(callback, *args):
+                if getattr(callback, "__func__", None) is publish:
+                    key = id(callback.__self__)
+                    with lock:
+                        pending[key] += 1
+                        most[key] = max(most[key], pending[key])
+                return call(callback, *args)
+
+            loop.call_soon_threadsafe = counting
+            async with JobService([TenantPolicy(name="a", max_active=3)], workers=3) as svc:
+                handles = [
+                    svc.submit(JobSpec("test", "slow-count", {"n": 40 + i, "delay": 0.001}),
+                               tenant="a")
+                    for i in range(3)
+                ]
+                return await asyncio.gather(*(watch(h) for h in handles))
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            streams = run(body())
+        finally:
+            sys.setswitchinterval(switch)
+        assert len(most) == 3 and max(most.values()) == 1
+        for i, (seen, result) in enumerate(streams):
+            steps = [p.steps_done for p in seen]
+            assert steps == sorted(steps)
+            assert seen[-1].done and seen[-1].steps_done == 40 + i
+            assert result == {"count": 40 + i}
+
+
+class TestHandleLifetime:
+    def test_resolved_handles_are_dropped_with_the_client(self):
+        """Once jobs resolve and the client drops their handles, a running
+        service keeps at most one per worker (the last it ran)."""
+
+        async def body():
+            async with JobService([TenantPolicy(name="a")], workers=2) as svc:
+                handles = [
+                    svc.submit(JobSpec("test", "slow-count", {"n": 1 + i, "delay": 0.0}),
+                               tenant="a")
+                    for i in range(20)
+                ]
+                for handle in handles:
+                    await handle.result()
+                refs = [weakref.ref(h) for h in handles]
+                del handles, handle
+                gc.collect()
+                return sum(r() is not None for r in refs), svc.workers
+
+        alive, workers = run(body())
+        assert alive <= workers
 
 
 class TestAcceptance:
