@@ -37,7 +37,7 @@ next (each job must reach the bit-identical fixpoint):
     must not receive any worker of the failed set.
 ``pool-isolation``
     Back-to-back jobs on different grid sizes and fused step counts reuse
-    one set; nothing of the first (planes, residents, claims) may reach
+    one set; nothing of the first (planes, claim ids, replies) may reach
     the second.
 ``pool-late-kernel``
     A tile kernel is registered after the idle set forked; the next job

@@ -19,6 +19,7 @@ reproduces its moving parts:
 
 from repro.easypap.app import AppResult, EasyPapApp
 from repro.easypap.executor import (
+    BatchSpec,
     ProcessBackend,
     SequentialBackend,
     SimulatedBackend,
@@ -49,6 +50,7 @@ __all__ = [
     "TaskSpan",
     "simulate_schedule",
     "TaskBatch",
+    "BatchSpec",
     "SequentialBackend",
     "SimulatedBackend",
     "ThreadBackend",

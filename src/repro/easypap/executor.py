@@ -19,25 +19,24 @@ assignment's needs:
   simulated.  Each worker is a long-lived forked process holding one end
   of a command/result pipe pair; worker sets are *leased* from an idle
   pool that outlives each backend and attach the job's planes once per
-  lease, and recurring batches are *registered resident* once per batch
-  identity so an iteration ships only a tiny command tuple (batch id,
-  plan selection spans, epoch) instead of re-pickling chunk items; a
-  per-iteration selection of a registered batch (:meth:`TaskBatch.subset`)
-  ships as index spans into it.  Chunks still follow the same
-  ``static``/``cyclic``/``dynamic``/``guided`` plans as
-  :func:`~repro.easypap.schedule.simulate_schedule`, and every policy
-  sends at most one command per worker per batch: static/cyclic chunks
-  are pre-assigned, dynamic/guided chunks are claimed by the workers from
-  a shared queue.  A *parallel region* (:meth:`ProcessBackend.run_region`)
-  goes further: one command per worker runs a whole loop of iterations,
-  the workers meeting at a barrier the worker set owns and publishing
-  per-iteration state to shared slots (:class:`RegionContext`).  When
-  ``fork`` or shared memory is unavailable it degrades gracefully to a
+  lease.  Workers run one kind of work, the *parallel region*
+  (:meth:`ProcessBackend.run_region`): one command per worker runs a
+  kernel that may loop over many iterations, the workers meeting at a
+  barrier the worker set owns and publishing per-iteration state to
+  shared slots (:class:`RegionContext`).  A tile batch is a one-step
+  region whose command names its tasks by value (:class:`BatchSpec` and
+  index spans of tiles), a few hundred bytes whatever its tile count.
+  Chunks follow the same ``static``/``cyclic``/``dynamic``/``guided``
+  plans as :func:`~repro.easypap.schedule.simulate_schedule`:
+  static/cyclic chunks are pre-assigned, dynamic/guided chunks are
+  claimed by the workers from a shared queue.  When ``fork`` or shared
+  memory is unavailable it degrades gracefully to a
   :class:`ThreadBackend`.
 
 A region runs in process with the calling thread as its one participant:
 that is how :class:`SequentialBackend` runs one, and how a
-:class:`ProcessBackend` without ``fork``, or out of retries, finishes one.
+:class:`ProcessBackend` without ``fork``, or out of retries, finishes a
+region or a tile batch.
 
 All backends return the executed :class:`~repro.easypap.schedule.TaskSpan`
 list and, given a :class:`~repro.obs.tracer.Tracer`, record one span per
@@ -46,6 +45,7 @@ executed tile (:func:`add_tile_span`).
 
 from __future__ import annotations
 
+import functools
 import mmap
 import multiprocessing
 import multiprocessing.connection
@@ -54,13 +54,12 @@ import pickle
 import select
 import threading
 import time
-import weakref
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from itertools import accumulate
 from multiprocessing import resource_tracker
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,12 +75,13 @@ from repro.easypap.schedule import (
     index_spans,
     simulate_schedule,
 )
-from repro.easypap.tiling import Tile
+from repro.easypap.tiling import Tile, TileGrid
 from repro.obs.tracer import Tracer
 
 __all__ = [
     "TaskBatch",
     "TileTask",
+    "BatchSpec",
     "register_tile_kernel",
     "get_tile_kernel",
     "registered_tile_kernels",
@@ -115,6 +115,26 @@ class TileTask:
     dst: int
     tile: Tile
     arg: object = None
+
+
+class BatchSpec(NamedTuple):
+    """What every task of a batch runs, by value: task *i* of a
+    :class:`TaskBatch` with this spec is ``TileTask(kernel, src, dst,
+    tiles[i], arg)``, its tile one of ``TileGrid(*geometry)``.  A worker
+    command names a batch's tasks by this tuple and index spans of the
+    tiles; ``arg`` must be hashable (workers cache the tasks by value).
+    """
+
+    kernel: str
+    src: int
+    dst: int
+    #: ``(height, width, tile_h, tile_w)`` of the tiles' grid (:attr:`TileGrid.geometry`)
+    geometry: tuple[int, int, int, int]
+    arg: object = None
+
+    def task(self, tile: Tile) -> TileTask:
+        """The :class:`TileTask` this spec runs on *tile*."""
+        return TileTask(self.kernel, self.src, self.dst, tile, self.arg)
 
 
 #: name -> fn(planes, task) for kernels executable from a TileTask spec.
@@ -203,20 +223,17 @@ class TaskBatch:
         Optional virtual cost per task; backends that need costs but do not
         receive them fall back to measuring wall time or to tile area.
     spec:
-        Optional parallel list of :class:`TileTask` — a picklable
-        description of each task that :class:`ProcessBackend` can ship to
-        worker processes (closures cannot cross a process boundary).
-        Backends without process workers ignore it and run the closures.
+        Optional :class:`BatchSpec` — a picklable description of every
+        task, which :class:`ProcessBackend` ships to worker processes
+        (closures cannot cross a process boundary).  It needs ``tiles``,
+        tiles of the spec's grid in ascending index order.  Backends
+        without process workers ignore it and run the closures.
     dynamic:
         Mark batches whose task count varies per iteration (frontier
         selections).  Plan-consuming backends then build the chunk plan
         through the uncached :func:`~repro.easypap.schedule.dynamic_chunk_plan`
         fast path instead of :func:`~repro.easypap.schedule.chunk_plan_cached`,
         so a moving frontier cannot thrash the static-plan cache.
-
-    A batch built by :meth:`subset` also records the stable batch it
-    selects from (:attr:`base`) and the base index of each of its tasks
-    (:attr:`indices`); both are None otherwise.
     """
 
     def __init__(
@@ -225,7 +242,7 @@ class TaskBatch:
         *,
         tiles: Sequence[Tile] | None = None,
         costs: Sequence[float] | None = None,
-        spec: Sequence[TileTask] | None = None,
+        spec: BatchSpec | None = None,
         dynamic: bool = False,
     ) -> None:
         self.tasks = list(tasks)
@@ -233,14 +250,18 @@ class TaskBatch:
             raise ConfigurationError("tiles and tasks must have equal length")
         if costs is not None and len(costs) != len(self.tasks):
             raise ConfigurationError("costs and tasks must have equal length")
-        if spec is not None and len(spec) != len(self.tasks):
-            raise ConfigurationError("spec and tasks must have equal length")
         self.tiles = list(tiles) if tiles is not None else None
         self.costs = [float(c) for c in costs] if costs is not None else None
-        self.spec = list(spec) if spec is not None else None
+        self.spec = spec
         self.dynamic = bool(dynamic)
-        self.base: TaskBatch | None = None
-        self.indices: list[int] | None = None
+        if spec is not None:
+            if not isinstance(spec, BatchSpec) or self.tiles is None:
+                raise ConfigurationError("spec must be a BatchSpec, given with the batch's tiles")
+            ids = [t.index for t in self.tiles]
+            if any(b <= a for a, b in zip(ids, ids[1:])):
+                raise ConfigurationError("a spec batch's tiles must ascend by tile index")
+            #: the tiles as index spans: what a worker command carries
+            self._tile_spans = index_spans(ids)
 
     def __len__(self) -> int:
         return len(self.tasks)
@@ -249,13 +270,10 @@ class TaskBatch:
         """The batch of tasks ``indices`` (strictly ascending) of this one.
 
         The selection is ``dynamic`` — its size changes per iteration, so
-        its chunk plan bypasses the static-plan cache — and remembers this
-        batch as its :attr:`base`: task *i* of the selection is task
-        ``indices[i]`` here.  The process backend registers the base's spec
-        list once and ships a selection as index spans into it, so the
-        ``omp`` steppers' lazy partials and waves pickle no
-        :class:`TileTask`.  Spans, returns and tile spans of the selection
-        use its own task positions.
+        its chunk plan bypasses the static-plan cache — and keeps this
+        batch's spec: the ``omp`` steppers' lazy partials and waves ship
+        as index spans of their tiles.  Spans, returns and tile spans of
+        the selection use its own task positions.
         """
         idx = list(indices)
         if any(b <= a for a, b in zip(idx, idx[1:])):
@@ -264,16 +282,13 @@ class TaskBatch:
         def pick(seq):
             return None if seq is None else [seq[i] for i in idx]
 
-        sel = TaskBatch(
+        return TaskBatch(
             pick(self.tasks),
             tiles=pick(self.tiles),
             costs=pick(self.costs),
-            spec=pick(self.spec),
+            spec=self.spec,
             dynamic=True,
         )
-        sel.base = self
-        sel.indices = idx
-        return sel
 
     def tile_coords(self, i: int) -> tuple[int, int]:
         """The (ty, tx) of task *i*'s tile, or (-1, -1) when untracked."""
@@ -515,27 +530,6 @@ class ThreadBackend(_TileTimeline):
 _IDLE_EXIT_S = 2.0
 
 
-def _resident_items(resident: dict, bid: int | None, payload) -> list[tuple[int, TileTask]]:
-    """The ``(task position, TileTask)`` items of one run command.
-
-    Two payload shapes, by dispatch mode:
-
-    * oneshot (``bid is None``): an explicit ``[(position, TileTask), ...]``
-      list, pickled whole — the fallback for batches with no stable
-      identity;
-    * spec resident: ``(position spans, base spans)`` into the registered
-      spec list; base spans are None when the submitted batch is the
-      registered one, else they name the base index of each position of a
-      :meth:`TaskBatch.subset` (both ascending, so they pair up in order).
-    """
-    if bid is None:
-        return payload
-    specs = resident[bid]
-    positions, bases = payload
-    pos = expand_spans(positions)
-    return list(zip(pos, [specs[b] for b in (pos if bases is None else expand_spans(bases))]))
-
-
 #: chunk ids are written to the claim queue as 4-byte little-endian ints,
 #: at most this many per round: one write of at most ``PIPE_BUF`` bytes is
 #: atomic and always fits in an empty pipe, so the parent never blocks
@@ -543,32 +537,31 @@ _CLAIMS_PER_ROUND = select.PIPE_BUF // 4
 _CLAIM_IDS = b"".join(i.to_bytes(4, "little") for i in range(_CLAIMS_PER_ROUND))
 
 
-def _claimed(claims: int, wid: int, plan):
-    """Yield the ``(lo, hi)`` item ranges worker *wid* runs for one command.
+def _claimed(claims: int, first: int):
+    """Yield the chunk ids one participant runs in a claim round.
 
-    A fixed assignment (``plan`` None) is one range over every item.
-    Otherwise ``plan`` is ``(bounds, wids)``: chunk *c* covers items
-    ``bounds[c]:bounds[c + 1]``, and the workers listed in ``wids`` start
-    with chunk ``wids.index(wid)`` — the chunks a team takes when it
-    starts together — then claim chunk ids from the shared queue until it
-    is empty: the shared-queue ``dynamic`` schedule.  The pipe read end is
-    non-blocking and each 4-byte read is atomic, so no two workers claim
-    one id, and no lock exists for a killed worker to leave held.  Every
-    worker holds the write end from its fork on, so a read never sees
-    end-of-file.
+    It starts on chunk *first*, its own — the chunks a team takes when it
+    starts together — then claims chunk ids from the shared queue until
+    it is empty: the shared-queue ``dynamic`` schedule.  The pipe read end
+    is non-blocking and each 4-byte read is atomic, so no two workers
+    claim one id, and no lock exists for a killed worker to leave held.
+    Every worker holds the write end from its fork on, so a read never
+    sees end-of-file.
     """
-    if plan is None:
-        yield 0, None
-        return
-    bounds, wids = plan
-    c = wids.index(wid)
+    c = first
     while True:
-        yield bounds[c], bounds[c + 1]
+        yield c
         try:
             raw = os.read(claims, 4)
         except BlockingIOError:  # queue empty: every chunk is taken
             return
         c = int.from_bytes(raw, "little")
+
+
+@functools.lru_cache(maxsize=8)
+def _spec_tasks(spec: BatchSpec) -> list[TileTask]:
+    """The :class:`TileTask` of *spec* on every tile of its grid, by tile index."""
+    return [spec.task(t) for t in TileGrid(*spec.geometry)]
 
 
 def _attach(plane_specs: list[tuple[str, tuple, str]]) -> tuple[list, list[np.ndarray]]:
@@ -655,12 +648,14 @@ class RegionContext:
     A region kernel is a module-level function ``fn(ctx, args)`` shipped to
     each participating worker by :meth:`ProcessBackend.run_region`; it
     steps on the shared :attr:`planes` on its own, publishes each step to
-    :meth:`slot`, and meets its peers at :meth:`wait`.
+    :meth:`slot`, and meets its peers at :meth:`wait`.  Its return value is
+    the participant's reply; if it raises, the reply carries what it left
+    in :attr:`partial` instead.
     """
 
     def __init__(
         self, shared: _RegionShared, wid: int, nworkers: int, planes, injector, epoch,
-        parent: int | None,
+        parent: int | None, claims: int | None = None,
     ):
         #: this worker's index among the region's participants
         self.wid = wid
@@ -670,6 +665,10 @@ class RegionContext:
         self.planes = planes
         #: the command's send time; ``perf_counter() - epoch`` is comparable across workers
         self.epoch = epoch
+        #: read end of the set's chunk-id claim queue (None in process)
+        self.claims = claims
+        #: the value a kernel that raises replies with (None unless it sets one)
+        self.partial = None
         self._shared = shared
         self._injector = injector
         self._parent = parent
@@ -748,6 +747,48 @@ def _run_region_alone(fn, args, collect, planes: list[np.ndarray], stop=None) ->
         collect(shared.published(1), shared.slots, [value])
 
 
+def _tile_batch(ctx: RegionContext, args) -> list[tuple[int, float, float, object]]:
+    """Region kernel of a tile batch: run this participant's share of one round.
+
+    *args* is ``(spec, tile_spans, plan, todo)``: the batch's
+    :class:`BatchSpec`, its tiles as index spans, the ``(ntasks, nworkers,
+    policy, chunk, dynamic)`` its chunk plan is built from, and the spans
+    of the task positions still to run (None: all).  ``static``/``cyclic``
+    chunk *k* belongs to participant ``k % nworkers``; under
+    ``dynamic``/``guided`` participant *w* starts on the *w*-th chunk with
+    tasks left, then claims chunk ids (:func:`_claimed`).  In process, with
+    no claim queue, the one participant runs every chunk.  Returns
+    ``(position, start, end, return)`` rows, times from ``ctx.epoch``; a
+    tile that raises ends the share, and the rows before it still reach
+    the parent as :attr:`RegionContext.partial`.
+    """
+    spec, tile_spans, (ntasks, nworkers, policy, chunk, dynamic), todo = args
+    fn = get_tile_kernel(spec.kernel)
+    tasks = _spec_tasks(spec)
+    tiles = expand_spans(tile_spans)
+    chunks = (dynamic_chunk_plan if dynamic else chunk_plan_cached)(ntasks, nworkers, policy, chunk)
+    if todo is not None:
+        keep = set(expand_spans(todo))
+        chunks = [[i for i in ch if i in keep] for ch in chunks]
+    if ctx.claims is None:
+        share = chunks
+    elif policy in ("static", "cyclic"):
+        share = chunks[ctx.wid :: nworkers]
+    else:
+        left = [ch for ch in chunks if ch]
+        share = (left[c] for c in _claimed(ctx.claims, ctx.wid) if c < len(left))
+    rows = ctx.partial = []
+    injector, epoch = ctx._injector, ctx.epoch
+    for ch in share:
+        for pos in ch:
+            if injector is not None:
+                injector.check(pos)
+            t0 = time.perf_counter() - epoch
+            ret = fn(ctx.planes, tasks[tiles[pos]])
+            rows.append((pos, t0, time.perf_counter() - epoch, ret))
+    return rows
+
+
 def _worker_main(
     conn,
     wid: int,
@@ -761,29 +802,22 @@ def _worker_main(
 
     * ``("stop",)`` — exit the loop;
     * ``("attach", plane_specs)`` — drop the previous lease's planes and
-      residents and map the new lease's planes;
-    * ``("detach",)`` — drop the planes and residents: the set is idle,
-      and exits on its own if no attach comes within :data:`_IDLE_EXIT_S`;
-    * ``("register", bid, specs)`` — install a resident spec list;
-    * ``("run", seq, epoch, bid, payload, plan)`` — execute the items
-      of *payload* (all of them, or a first chunk and then the chunks
-      claimed from the *claims* queue when a ``plan`` is given, see
-      :func:`_claimed`) and reply once
-      ``(seq, wid, rows, err)`` where rows are ``(position, start, end,
-      return_value)`` with times offset from *epoch* (CLOCK_MONOTONIC is
-      system-wide where fork exists, so offsets are comparable across
-      workers);
+      map the new lease's planes;
+    * ``("detach",)`` — drop the planes: the set is idle, and exits on its
+      own if no attach comes within :data:`_IDLE_EXIT_S`;
     * ``("region", seq, epoch, fn, nworkers, args)`` — run the region
       kernel ``fn(RegionContext, args)`` with the first *nworkers* workers
       of the set (see :meth:`ProcessBackend.run_region`) and reply once
-      ``(seq, wid, (start, value), err)``.
+      ``(seq, wid, (start, value), err)``, *start* offset from *epoch*
+      (CLOCK_MONOTONIC is system-wide where fork exists, so offsets are
+      comparable across workers).  A tile batch is such a region
+      (:func:`_tile_batch`), and the claim queue *claims* is its
+      ``dynamic`` schedule.
 
     ``seq`` is the parent's epoch tag: replies from a previous attempt
     are discarded by the barrier, so a slow worker can never corrupt a
-    retried batch's bookkeeping.  A failed task aborts the rest of the
-    command (no further chunk is claimed) and travels back in ``err``;
-    completed rows are still reported so the parent re-submits only what
-    is genuinely missing.
+    retried attempt's bookkeeping.  A kernel that raises replies with the
+    exception in ``err`` and :attr:`RegionContext.partial` as its value.
     """
     # the parent creates, tracks and unlinks every plane; a worker only maps
     # them.  Mapping one registers it with the resource tracker too (before
@@ -794,7 +828,6 @@ def _worker_main(
     segments: list = []
     arrays: list[np.ndarray] = []
     leased = False
-    resident: dict[int, list[TileTask]] = {}
     while True:
         try:
             if not leased and not conn.poll(_IDLE_EXIT_S):
@@ -806,7 +839,6 @@ def _worker_main(
         if op == "stop":
             return
         if op in ("attach", "detach"):
-            resident.clear()
             arrays = []
             for seg in segments:
                 try:
@@ -820,45 +852,18 @@ def _worker_main(
                 except FileNotFoundError:  # unlinked already: the lease ended unused
                     pass
             continue
-        if op == "register":
-            resident[msg[1]] = msg[2]
-            continue
-        seq, epoch = msg[1], msg[2]
-        out: object = None
+        _, seq, epoch, fn, nworkers, args = msg
         err: Exception | None = None
-        if op == "region":
-            _, _, _, fn, nworkers, args = msg
-            start = time.perf_counter() - epoch
-            try:
-                ctx = RegionContext(shared, wid, nworkers, arrays, fault_injector, epoch, parent)
-                out = (start, fn(ctx, args))
-            except Exception as exc:
-                err = exc
-        else:
-            _, _, _, bid, payload, plan = msg
-            rows: list[tuple[int, float, float, object]] = []
-            out = rows
-            try:
-                items = _resident_items(resident, bid, payload)
-                for lo, hi in _claimed(claims, wid, plan):
-                    for idx, task in items[lo:hi]:
-                        fn = _TILE_KERNELS.get(task.kernel)
-                        if fn is None:
-                            raise SchedulingError(
-                                f"tile kernel {task.kernel!r} is not registered in this worker"
-                            )
-                        if fault_injector is not None:
-                            fault_injector.check(idx)
-                        t0 = time.perf_counter() - epoch
-                        ret = fn(arrays, task)
-                        t1 = time.perf_counter() - epoch
-                        rows.append((idx, t0, t1, ret))
-            except Exception as exc:
-                err = exc
+        start = time.perf_counter() - epoch
+        ctx = RegionContext(shared, wid, nworkers, arrays, fault_injector, epoch, parent, claims)
         try:
-            buf = pickle.dumps((seq, wid, out, err))
-        except Exception:  # unpicklable exception: ship its repr instead
-            buf = pickle.dumps((seq, wid, out, SchedulingError(repr(err))))
+            value = fn(ctx, args)
+        except Exception as exc:
+            err, value = exc, ctx.partial
+        try:
+            buf = pickle.dumps((seq, wid, (start, value), err))
+        except Exception as exc:  # unpicklable value or exception: ship a repr instead
+            buf = pickle.dumps((seq, wid, None, SchedulingError(repr(err or exc))))
         try:
             conn.send_bytes(buf)
         except Exception:  # parent pipe gone mid-reply
@@ -1034,10 +1039,9 @@ class ProcessBackend(_TileTimeline):
        :mod:`multiprocessing.shared_memory` segments and the returned
        shm-backed replacements must be installed in their place (e.g. via
        :meth:`Grid2D.swap_buffer <repro.easypap.grid.Grid2D.swap_buffer>`);
-    3. per iteration, pass a :class:`TaskBatch` whose ``spec`` lists one
-       :class:`TileTask` per task; per-task return values come back in
-       :attr:`ScheduleResult.returns`.  Or run a whole loop of iterations
-       as one :meth:`run_region`;
+    3. per iteration, pass a :class:`TaskBatch` with a :class:`BatchSpec`;
+       per-task return values come back in :attr:`ScheduleResult.returns`.
+       Or run a whole loop of iterations as one :meth:`run_region`;
     4. :meth:`close` when done (also a context manager): it unlinks the
        planes and returns the lease.
 
@@ -1046,74 +1050,51 @@ class ProcessBackend(_TileTimeline):
     duplex pipe.  The workers, their claim queue and the command ``seq``
     counter form a worker set that outlives the backend: :meth:`bind_planes`
     leases the idle set of as many workers when a clean one waits (else
-    forks one) and attaches it to the new planes, dropping every resident
-    of the previous lease; :meth:`close` detaches it and parks it idle
-    when it is clean — no ``fault_injector``, every worker alive, the last
-    attempt succeeded, the claim queue empty and the tile-kernel registry
-    unchanged since the fork — and kills it otherwise.  Idle workers exit
-    on their own after :data:`_IDLE_EXIT_S`; :func:`shutdown_idle_pool`
-    stops them at once.
+    forks one) and attaches it to the new planes; :meth:`close` detaches
+    it and parks it idle when it is clean — no ``fault_injector``, every
+    worker alive, the last attempt succeeded, the claim queue empty and
+    the tile-kernel registry unchanged since the fork — and kills it
+    otherwise.  Idle workers exit on their own after :data:`_IDLE_EXIT_S`;
+    :func:`shutdown_idle_pool` stops them at once.
 
-    **Dispatch protocol.**  Batches with a stable identity become
-    *residents*: a non-dynamic spec batch is registered once (its
-    :class:`TileTask` list pickled a single time, keyed by batch object
-    identity), after which an iteration ships only
-    ``("run", seq, epoch, batch_id, selection, plan)`` where the selection
-    is a handful of index spans and ``plan`` carries the chunk bounds of a
-    claimed schedule.  A :meth:`TaskBatch.subset` — an ``omp`` lazy
-    partial or wave — dispatches against its base's registration: its
-    selection also names the base index of each task.  Other dynamic spec
-    batches have no stable identity and ship oneshot commands carrying
-    ``(position, TileTask)`` items.  Chunks follow
-    :func:`~repro.easypap.schedule.chunk_plan` exactly, and each attempt
-    sends at most one command per live worker: ``static``/``cyclic``
-    chunks are pre-assigned to worker slots (chunk *k* belongs to worker
-    ``k % nworkers``) and shipped whole; ``dynamic``/``guided`` attempts
-    send every live worker (at most one per chunk) the same command
-    carrying the plan: the *j*-th commanded worker starts on chunk *j*, and
-    the remaining chunk ids wait, in plan order, in a claim queue (a pipe
-    shared by the workers) from which each worker claims chunks until it
-    is empty — OpenMP's shared-queue ``dynamic``.  Starting every worker
-    on its own chunk keeps a worker that wakes first from taking the whole
-    plan before the others read their command.  A plan with more than
-    :data:`_CLAIMS_PER_ROUND` chunks runs in rounds of that many.
-
-    **Parallel regions.**  :meth:`run_region` sends one ``region``
+    **One kind of command.**  :meth:`run_region` sends one ``region``
     command per participating worker: a module-level kernel and its
     arguments.  The workers then loop on their own, publishing each step
     to a double-buffered slot and meeting at a spin-then-block
     dissemination barrier, which ends the region early when a stop word
     says so (:meth:`RegionContext.wait`); barrier, slots, abort and stop
     words belong to the worker set (:class:`_RegionShared`), made before
-    its workers fork.  ``pfrontier`` runs its fixpoint loop this way
-    (:mod:`repro.sandpile.pfrontier`).
+    its workers fork.  ``pfrontier`` runs its fixpoint loop this way.  A
+    tile batch (:meth:`run`) is a one-step region of :func:`_tile_batch`
+    whose command names the tasks by value — the :class:`BatchSpec`, the
+    tiles as index spans, the chunk plan's parameters — so it stays a few
+    hundred bytes whatever the tile count.  ``static``/``cyclic`` chunk
+    *k* runs on worker ``k % nworkers``; under ``dynamic``/``guided``
+    worker *w* starts on chunk *w* (so a worker that wakes first cannot
+    take the whole plan) and the remaining chunk ids wait, in plan order,
+    in a claim queue (a pipe shared by the workers) that the workers drain
+    — OpenMP's shared-queue ``dynamic``.  A plan with more than
+    :data:`_CLAIMS_PER_ROUND` chunks runs as one region per round of that
+    many.
 
-    **One attempt loop.**  A batch attempt (each claim round of it) and a
-    region attempt post their commands and collect one reply per worker
-    the same way (:meth:`_round_trip`): ``seq`` tags every command, and
-    replies to an earlier attempt, or an earlier lease of the set, are
-    discarded, so a rebuilt pool can never double-account a task.  A
-    worker that is gone, dies (``BrokenProcessPool``; a reply already in
-    its pipe is still taken) or raises fails the attempt while the others
-    keep completing theirs, and so does ``task_timeout``: one deadline per
-    batch attempt, restarted on every step a region publishes; the first
-    failure cancels a region's barrier, so its survivors reply.  Every
-    failed attempt takes one retry ladder (:meth:`_with_retries`): the
-    pool is rebuilt — fresh workers re-attach the still-live planes and
-    **re-register every resident batch** — and the attempt is re-sent,
-    per ``retry`` (a :class:`~repro.common.resilience.RetryPolicy`).  A
-    batch re-submits only its missing tasks (tile kernels are idempotent;
-    a dead worker's unreported rows count as missing), a region resumes
-    from the slots its caller collected.  When retries are exhausted the
-    set is killed and the backend degrades to threads for good
-    (``allow_fallback=True``, the default: a batch runs its missing tasks
-    on a thread pool, a region finishes in process, the calling thread
-    its one participant), or a :class:`SchedulingError` naming the
-    unfinished tasks, or the region, is raised.  The claim queue is empty
-    after an attempt that succeeds (every worker stopped on an empty
-    queue), a failed one always rebuilds the pool, and a set is leased
-    only with an empty queue, so a stale chunk id never runs in a later
-    batch.  Every recovery step is recorded in ``degradation`` (a
+    **One attempt loop.**  Every attempt posts its commands and collects
+    one reply per worker the same way (:meth:`_round_trip`), ``seq``
+    tagged, so a reply to an earlier attempt or lease is discarded.  A
+    worker that is gone, dies (``BrokenProcessPool``) or raises fails the
+    attempt, and so does ``task_timeout``, which bounds each step a region
+    publishes (a tile batch: each claim round).  A failed attempt is
+    re-sent on a rebuilt pool per ``retry`` (a
+    :class:`~repro.common.resilience.RetryPolicy`, :meth:`_with_retries`):
+    a batch re-sends only the tasks with no row (tile kernels are
+    idempotent; a worker whose tile raised reports the rows before it), a
+    region resumes from the slots its caller collected.  Once retries are
+    exhausted the set is killed and the backend degrades for good
+    (``allow_fallback=True``, the default: the region or batch finishes in
+    process, the calling thread its one participant, and later batches
+    run on threads), or a :class:`SchedulingError` naming the unfinished
+    tasks, or the region, is raised.  A set is leased only with an empty
+    claim queue, so a stale chunk id never runs in a later batch.  Every
+    recovery step is recorded in ``degradation`` (a
     :class:`~repro.common.resilience.DegradationLog`) when one is
     supplied.
 
@@ -1124,12 +1105,12 @@ class ProcessBackend(_TileTimeline):
 
     **Dispatch metrics.**  Pass ``metrics`` (a
     :class:`repro.obs.metrics.MetricsRegistry`) to count commands and
-    serialized bytes per dispatch mode (``easypap_dispatch_commands_total``,
-    ``easypap_dispatch_bytes_total``, labelled ``mode=oneshot|resident|
-    register|region``, and ``attach``/``detach`` once per worker per
-    lease), batches (``easypap_dispatch_batches_total``), and observe the
-    command-send-to-first-task delay (for a region, to the kernel's start:
-    ``easypap_dispatch_queue_wait_seconds``).
+    serialized bytes (``easypap_dispatch_commands_total``,
+    ``easypap_dispatch_bytes_total``, labelled ``mode=region``, and
+    ``attach``/``detach`` once per worker per lease), batches
+    (``easypap_dispatch_batches_total``), and observe the delay from a
+    command's send to its kernel's start
+    (``easypap_dispatch_queue_wait_seconds``).
     """
 
     def __init__(
@@ -1180,7 +1161,7 @@ class ProcessBackend(_TileTimeline):
             )
             self._m_wait = metrics.histogram(
                 "easypap_dispatch_queue_wait_seconds",
-                "delay between command send and its first task starting",
+                "delay between command send and its kernel starting",
                 buckets=(1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1, 1.0),
             )
         #: the leased worker set, between bind_planes and close
@@ -1188,13 +1169,7 @@ class ProcessBackend(_TileTimeline):
         self._shm: list = []
         self._planes: list[np.ndarray] = []
         self._plane_specs: list[tuple[str, tuple, str]] = []
-        self._next_bid = 0
-        #: bid -> registration payload, re-sent to every freshly spawned worker
-        self._residents: dict[int, tuple] = {}
-        self._spec_bids: "weakref.WeakKeyDictionary[TaskBatch, int]" = (
-            weakref.WeakKeyDictionary()
-        )
-        #: the thread pool of the thread path and of the retry fallback
+        #: the thread pool of the thread path
         self._threads = ThreadBackend(nworkers)
         self._closed = False
         self._reported_thread_degradation = False
@@ -1256,53 +1231,11 @@ class ProcessBackend(_TileTimeline):
             self._m_bytes.inc(len(buf), mode=mode)
 
     def _start_pool(self) -> None:
-        """Lease a worker set and attach it to the current planes.
-
-        Every live resident registration is replayed to the set before any
-        run command can reach it — the crash-recovery guarantee that lets
-        resident batches survive pool rebuilds.
-        """
+        """Lease a worker set and attach it to the current planes."""
         self._set = _lease(self.nworkers, self.fault_injector)
         attach = pickle.dumps(("attach", self._plane_specs))
         for wk in self._set.workers:
             self._post(wk, attach, mode="attach")
-        for bid, payload in self._residents.items():
-            buf = pickle.dumps(("register", bid, payload))
-            for wk in self._set.workers:
-                self._post(wk, buf, mode="register")
-
-    def _register_resident(self, payload: list) -> int:
-        """Install a resident registration on every live worker; returns its id."""
-        bid = self._next_bid
-        self._next_bid += 1
-        self._residents[bid] = payload
-        buf = pickle.dumps(("register", bid, payload))
-        for wk in self._set.workers if self._set else ():
-            if wk.alive:
-                try:
-                    self._post(wk, buf, mode="register")
-                except OSError:
-                    wk.alive = False
-        return bid
-
-    def _resident_for(self, batch: TaskBatch) -> int | None:
-        """The resident batch id to dispatch *batch* under (None = oneshot).
-
-        Non-dynamic spec batches register their spec list once per batch
-        object (weakly keyed, so a dropped batch frees its slot), and a
-        :meth:`TaskBatch.subset` runs under its base's registration.  Other
-        dynamic spec batches have no stable identity and stay oneshot.
-        """
-        if batch.base is not None:
-            batch = batch.base
-        elif batch.dynamic or not batch.spec:
-            return None
-        bid = self._spec_bids.get(batch)
-        if bid is None:
-            bid = self._register_resident(list(batch.spec))
-            self._spec_bids[batch] = bid
-            weakref.finalize(batch, self._residents.pop, bid, None)
-        return bid
 
     # -- lifecycle --------------------------------------------------------------
 
@@ -1387,7 +1320,7 @@ class ProcessBackend(_TileTimeline):
             elif not self.uses_processes:
                 reason = "fork/shared memory unavailable on this host"
             else:
-                reason = "batch carries no picklable TileTask spec"
+                reason = "batch carries no BatchSpec"
             self._log_degradation("thread-execution", reason)
 
     def _run_threads(self, batch: TaskBatch, iteration: int, kind: str) -> ScheduleResult:
@@ -1418,100 +1351,35 @@ class ProcessBackend(_TileTimeline):
             + more
         )
 
-    def _payload(self, batch: TaskBatch, bid: int | None, idxs: list[int]):
-        """The selection part of a run command for task positions *idxs*."""
-        if bid is None:
-            return [(i, batch.spec[i]) for i in idxs]
-        positions = index_spans(idxs)
-        if batch.base is None:
-            return (positions, None)
-        base = batch.indices
-        return (positions, index_spans([base[i] for i in idxs]))
-
-    def _dispatch(
-        self, batch: TaskBatch, chunks, missing: set[int], epoch: float, take
-    ) -> Exception | None:
-        """Run one attempt of the command/collect protocol for *missing*.
-
-        Chunks keep their original worker assignment (static/cyclic) or
-        queue order (dynamic/guided); already-completed tasks are filtered
-        out, so a retry re-submits only the spans still missing.  Each live
-        worker gets at most one command per round (one round unless a
-        claimed plan exceeds :data:`_CLAIMS_PER_ROUND` chunks), and
-        ``task_timeout`` bounds the attempt across its rounds.  Returns the
-        first failure seen (or None).
-        """
-        bid = self._resident_for(batch)
-        mode = "oneshot" if bid is None else "resident"
-        ws = self._set
-        deadline = Deadline(self.task_timeout)
-
-        def command(idxs: list[int], plan) -> bytes:
-            return pickle.dumps(("run", ws.seq, epoch, bid, self._payload(batch, bid, idxs), plan))
-
-        if self.policy in ("static", "cyclic"):
-            # fixed assignment: each worker slot gets its chunk list whole
-            per_worker: list[list[int]] = [[] for _ in range(self.nworkers)]
-            for k, ch in enumerate(chunks):
-                per_worker[k % self.nworkers].extend(i for i in ch if i in missing)
-            ws.seq += 1
-            sends = [(wk, command(idxs, None)) for wk, idxs in zip(ws.workers, per_worker) if idxs]
-            return self._round_trip(sends, mode, epoch, deadline, take)
-        # dynamic/guided: the workers claim chunk ids from the shared queue
-        todo = [sel for ch in chunks if (sel := [i for i in ch if i in missing])]
-        for lo in range(0, len(todo), _CLAIMS_PER_ROUND):
-            part = todo[lo : lo + _CLAIMS_PER_ROUND]
-            live = [wk for wk in ws.workers if wk.alive][: len(part)]
-            if not live:
-                return BrokenProcessPool("no live workers left to claim chunks")
-            # each commanded worker starts on one chunk; the rest are claimed
-            os.write(ws.claims[1], _CLAIM_IDS[4 * len(live) : 4 * len(part)])
-            ws.seq += 1
-            buf = command(
-                [i for sel in part for i in sel],
-                (tuple(accumulate(map(len, part), initial=0)), tuple(wk.wid for wk in live)),
-            )
-            failure = self._round_trip([(wk, buf) for wk in live], mode, epoch, deadline, take)
-            if failure is not None:
-                return failure
-        return None
-
-    def _round_trip(
-        self, sends, mode: str, epoch: float, deadline: Deadline, take, shared=None
-    ) -> Exception | None:
+    def _round_trip(self, sends, epoch: float, take) -> Exception | None:
         """Post each ``(worker, command)`` of *sends*, then collect one reply
         per worker under the epoch-tagged barrier (tag: the leased set's ``seq``).
 
         ``take(worker, payload)`` gets each reply to this ``seq`` and
-        returns when, after *epoch*, its first task (or region) started —
-        None if none did — for the queue-wait histogram; replies to earlier
-        commands are discarded.  A worker that is gone, dies or raises
-        fails the attempt; a reply a dead worker sent first is still taken,
-        and the others keep completing, which is what lets a batch
-        re-submit *only* its missing spans.  A batch attempt fails when
-        *deadline* passes.  For a region (*shared*: the set's
-        :class:`_RegionShared`) the deadline restarts whenever the last
-        step every participant published moves on, so ``task_timeout``
-        bounds a step; the first failure cancels the region, and the
-        survivors' replies are still collected, for another
-        ``task_timeout`` at most, since they carry what the kernel recorded
-        up to the step it stopped at.  Returns the first failure (or None).
+        returns when, after *epoch*, its kernel started (None: unknown), for
+        the queue-wait histogram; replies to earlier commands are
+        discarded.  A worker that is gone, dies or raises fails the
+        attempt; a reply a dead worker sent first is still taken.  The
+        ``task_timeout`` deadline restarts whenever the last step every
+        participant published moves on, so it bounds a step.  The first
+        failure cancels the region, and the survivors' replies, which carry
+        what their kernels did, are still collected for another
+        ``task_timeout`` at most.  Returns the first failure (or None).
         """
-        seq = self._set.seq
-        what = "batch" if shared is None else "region"
+        seq, shared = self._set.seq, self._set.shared
+        deadline = Deadline(self.task_timeout)
         failure: Exception | None = None
         #: worker -> send offset from epoch, until its reply arrives
         waiting: dict[_Worker, float] = {}
         for wk, buf in sends:
             if wk.alive:
                 try:
-                    self._post(wk, buf, mode=mode)
+                    self._post(wk, buf, mode="region")
                     waiting[wk] = time.perf_counter() - epoch
                     continue
                 except OSError:
                     wk.alive = False
-            gone = "" if shared is not None else "; its chunks cannot run this attempt"
-            failure = failure or BrokenProcessPool(f"worker {wk.wid} is gone{gone}")
+            failure = failure or BrokenProcessPool(f"worker {wk.wid} is gone")
 
         def recv_one(wk: _Worker) -> bool:
             """Consume one reply from *wk*; False when the pipe is dead."""
@@ -1533,7 +1401,7 @@ class ProcessBackend(_TileTimeline):
         cancelled = False
         progress = -1
         while waiting:
-            if failure is not None and shared is not None and not cancelled:
+            if failure is not None and not cancelled:
                 shared.cancel()
                 cancelled = True
                 deadline = Deadline(self.task_timeout)
@@ -1543,7 +1411,7 @@ class ProcessBackend(_TileTimeline):
                 list(conns) + list(sentinels), timeout=deadline.remaining()
             )
             if not ready:
-                if shared is None or cancelled:
+                if cancelled:
                     # the workers still owed are hung: the rebuild kills them
                     failure = failure or SchedulingError(
                         f"attempt exceeded task_timeout={self.task_timeout}s"
@@ -1571,7 +1439,7 @@ class ProcessBackend(_TileTimeline):
                     pass
                 if waiting.pop(wk, None) is not None:
                     failure = failure or BrokenProcessPool(
-                        f"worker {wk.wid} (pid {wk.proc.pid}) died mid-{what}"
+                        f"worker {wk.wid} (pid {wk.proc.pid}) died mid-region"
                     )
         return failure
 
@@ -1582,8 +1450,8 @@ class ProcessBackend(_TileTimeline):
         attempt is logged ``pool-rebuild`` and retried on a rebuilt set per
         :attr:`retry`.  When retries are exhausted the set is killed, so no
         half-dead worker writes into the shared planes, and either the
-        backend degrades to threads for good (``thread-fallback``; returns
-        False and the caller finishes the work in-process) or, without
+        backend degrades for good (``thread-fallback``; returns False and
+        the caller finishes the work in-process) or, without
         ``allow_fallback``, ``give-up`` raises a :class:`SchedulingError`
         ending in ``describe(failure)``.  *tasks*, the positions still
         missing, is named in every log entry when given.
@@ -1622,87 +1490,100 @@ class ProcessBackend(_TileTimeline):
             self._rebuild_pool()
             attempt_no += 1
 
-    def _fallback_to_threads(self, batch: TaskBatch, missing: set[int], spans, returns, epoch):
-        """Run the still-missing tasks in-process on the thread pool.
+    def _region(self, fn, args, collect, p: int, describe, *, stop=None, epoch=None,
+                tasks: set[int] | None = None) -> None:
+        """Run the region kernel *fn* on the first *p* workers, attempt by
+        attempt (see :meth:`run_region`), and in process once retries are
+        exhausted or without worker processes.
 
-        The parent-side closures operate on the same shm-backed planes the
-        workers were mutating, so completing them here preserves the
-        batch's results; per-task return values are captured so changed
-        flags survive the degradation.
+        Each attempt's commands carry *epoch* as their time origin, or the
+        attempt's own send time when it is None; *describe* and *tasks*
+        go to :meth:`_with_retries`.
         """
-        idxs = sorted(missing)
-        captured: dict[int, object] = {}
+        if self.uses_processes and self._set is None:
+            raise SchedulingError("bind_planes() must be called before running a region or batch")
 
-        def mk(i: int):
-            def task() -> None:
-                captured[i] = batch.tasks[i]()
+        def attempt() -> Exception | None:
+            ws = self._set
+            ws.shared.reset(stop)
+            ws.seq += 1
+            t0 = time.perf_counter() if epoch is None else epoch
+            buf = pickle.dumps(("region", ws.seq, t0, fn, p, args()))
+            values: list = [None] * p
 
-            return task
+            def take(wk: _Worker, out) -> float | None:
+                if out is None:
+                    return None
+                start, values[wk.wid] = out
+                return start
 
-        base = time.perf_counter() - epoch
-        for s in self._threads.run(TaskBatch([mk(i) for i in idxs])).spans:
-            orig = idxs[s.task]
-            spans[orig] = TaskSpan(orig, s.worker, base + s.start, base + s.end)
-            returns[orig] = captured.get(orig)
-        missing.clear()
+            failure = self._round_trip([(wk, buf) for wk in ws.workers[:p]], t0, take)
+            if stop is not None:
+                stop.bind(None)
+            collect(ws.shared.published(p), ws.shared.slots.copy(), values)
+            return failure
+
+        if not self.uses_processes or not self._with_retries(attempt, describe, tasks):
+            self._report_off_processes()
+            _run_region_alone(fn, args, collect, self._planes, stop)
 
     def run(self, batch: TaskBatch, *, iteration: int = 0, kind: str = "compute") -> ScheduleResult:
         """Execute the batch; returns the schedule with per-task returns.
 
-        Survives worker crashes and hangs: missing spans are retried on a
-        rebuilt pool per :attr:`retry`, then degrade to the thread path
+        A batch with a ``spec`` runs on the workers as one-step regions of
+        :func:`_tile_batch`, one per claim round, until every task has a
+        row.  Survives worker crashes and hangs: the tasks with no row are
+        retried on a rebuilt pool per :attr:`retry`, then finish in process
         (or raise, per :attr:`allow_fallback`).  See the class docstring.
         """
         if self._closed:
             raise ConfigurationError("backend is closed")
         if not self.uses_processes or batch.spec is None:
             return self._run_threads(batch, iteration, kind)
-        if self._set is None:
-            raise SchedulingError("bind_planes() must be called before running tile batches")
         n = len(batch)
         chunks = _plan_for(batch, self.nworkers, self.policy, self.chunk)
-        epoch = time.perf_counter()
+        plan = (n, self.nworkers, self.policy, self.chunk, batch.dynamic)
+        claimed = self.policy in ("dynamic", "guided")
         spans: list[TaskSpan | None] = [None] * n
         returns: list[object] = [None] * n
         missing: set[int] = set(range(n))
         if self._m_batches is not None and n:
             self._m_batches.inc()
 
-        def take(wk: _Worker, rows) -> float | None:
-            for idx, t0, t1, ret in rows:
-                spans[idx] = TaskSpan(idx, wk.wid, t0, t1)
-                returns[idx] = ret
-                missing.discard(idx)
-            return rows[0][1] if rows else None
+        def left() -> int:
+            """How many chunks still have tasks to run."""
+            if len(missing) == n:
+                return len(chunks)
+            return sum(1 for ch in chunks if not missing.isdisjoint(ch))
 
-        def attempt() -> Exception | None:
-            failure = self._dispatch(batch, chunks, missing, epoch, take)
-            if failure is None and missing:
-                # every worker replied yet spans are missing: a worker
-                # returned fewer rows than it was handed — a kernel bug,
-                # not a crash, so retrying would loop forever
-                raise SchedulingError(self._describe_missing(batch, missing, chunks))
-            return failure if missing else None
+        def args():
+            if claimed and self._set is not None:
+                # each participant starts on its own chunk; the rest of the round is claimed
+                os.write(self._set.claims[1], _CLAIM_IDS[4 * p : 4 * min(left(), _CLAIMS_PER_ROUND)])
+            todo = None if len(missing) == n else index_spans(missing)
+            return (batch.spec, batch._tile_spans, plan, todo)
+
+        def collect(_step, _slots, values) -> None:
+            for wid, rows in enumerate(values):
+                for pos, t0, t1, ret in rows or ():
+                    spans[pos] = TaskSpan(pos, wid, t0, t1)
+                    returns[pos] = ret
+                    missing.discard(pos)
 
         def describe(_failure) -> str:
             return self._describe_missing(batch, missing, chunks)
 
-        if missing and not self._with_retries(attempt, describe, missing):
-            self._fallback_to_threads(batch, missing, spans, returns, epoch)
-        done = [s for s in spans if s is not None]
-        if len(done) != n:  # pragma: no cover - all exits above fill or raise
-            raise SchedulingError(
-                self._describe_missing(batch, {i for i, s in enumerate(spans) if s is None}, chunks)
-            )
-        result = ScheduleResult(
-            policy=self.policy,
-            nworkers=self.nworkers,
-            chunk=self.chunk,
-            spans=done,
-            returns=returns,
-        )
-        self.record(done, batch.tiles, iteration, kind)
-        return result
+        epoch = time.perf_counter()
+        while missing:
+            before = len(missing)
+            p = min(self.nworkers, left() if claimed else len(chunks))
+            self._region(_tile_batch, args, collect, p, describe, epoch=epoch, tasks=missing)
+            if len(missing) == before:
+                # every worker replied, yet no task has a row: a kernel bug,
+                # not a crash, so another round would loop forever
+                raise SchedulingError(describe(None))
+        self.record(spans, batch.tiles, iteration, kind)
+        return ScheduleResult(self.policy, self.nworkers, self.chunk, spans, returns)
 
     # -- parallel regions ---------------------------------------------------------
 
@@ -1726,51 +1607,16 @@ class ProcessBackend(_TileTimeline):
         per participant), so it can advance the state that ``args()``
         sends next.  *stop*, a :class:`~repro.common.job.StopSignal`, ends
         the region at the first barrier after its request or its time
-        (see :meth:`RegionContext.wait`).
-
-        A failed attempt — a worker that dies, raises or makes no progress
-        for ``task_timeout`` seconds — takes the same retry ladder as a
-        batch: the set is rebuilt and the region re-sent with the new
-        ``args()``, the kernel resuming from its slots.  When retries run
-        out the backend degrades for good and the region finishes in
-        process, the calling thread its one participant, as it runs on a
-        host without ``fork``; without ``allow_fallback`` a
-        :class:`SchedulingError` is raised.
+        (see :meth:`RegionContext.wait`).  A failed attempt takes the retry
+        ladder (see the class docstring): the region is re-sent with the
+        new ``args()``, the kernel resuming from its slots.
         """
         if self._closed:
             raise ConfigurationError("backend is closed")
-        if self.uses_processes and self._set is None:
-            raise SchedulingError("bind_planes() must be called before running a region")
-        p = self.nworkers if nworkers is None else nworkers
-
-        def attempt() -> Exception | None:
-            ws = self._set
-            ws.shared.reset(stop)
-            ws.seq += 1
-            epoch = time.perf_counter()
-            buf = pickle.dumps(("region", ws.seq, epoch, fn, p, args()))
-            values: list = [None] * p
-
-            def take(wk: _Worker, out) -> float | None:
-                if out is None:
-                    return None
-                start, values[wk.wid] = out
-                return start
-
-            failure = self._round_trip(
-                [(wk, buf) for wk in ws.workers[:p]], "region", epoch,
-                Deadline(self.task_timeout), take, ws.shared,
-            )
-            if stop is not None:
-                stop.bind(None)
-            collect(ws.shared.published(p), ws.shared.slots.copy(), values)
-            return failure
-
-        if not self.uses_processes or not self._with_retries(
-            attempt, lambda exc: f"region {fn.__name__} failed: {exc}"
-        ):
-            self._report_off_processes()
-            _run_region_alone(fn, args, collect, self._planes, stop)
+        self._region(
+            fn, args, collect, self.nworkers if nworkers is None else nworkers,
+            lambda exc: f"region {fn.__name__} failed: {exc}", stop=stop,
+        )
 
 
 def make_backend(

@@ -167,28 +167,33 @@ def dynamic_chunk_plan(
     raise SchedulingError(f"unknown policy {policy!r}; choose from {POLICIES}")
 
 
-def index_spans(indices) -> tuple[tuple[int, int], ...]:
+def index_spans(indices) -> tuple[tuple[int, ...], ...]:
     """Compress a set/list of task indices into sorted half-open runs.
 
-    The persistent-worker dispatch protocol ships plan selections as
-    ``((lo, hi), ...)`` spans rather than explicit index lists: a frontier
-    chunk is almost always contiguous, so a command tuple stays a few tens
-    of bytes no matter how many tiles it covers.  Inverse of
-    :func:`expand_spans`.
+    A run of consecutive indices is ``(lo, hi)``; one of a wider stride is
+    ``(lo, hi, step)``, the arguments of the :class:`range` it expands to.
+    A tile batch's worker command ships its tiles and the task positions
+    still to run as such spans rather than explicit index lists: a
+    selection of tiles is mostly contiguous, and a checkerboard wave is
+    one strided run per tile row, so a command stays small however many
+    tiles it covers.  Inverse of :func:`expand_spans`.
     """
     idxs = sorted(indices)
-    spans: list[tuple[int, int]] = []
-    for i in idxs:
-        if spans and spans[-1][1] == i:
-            spans[-1] = (spans[-1][0], i + 1)
-        else:
-            spans.append((i, i + 1))
+    spans: list[tuple[int, ...]] = []
+    i = 0
+    while i < len(idxs):
+        j = i + 1
+        step = idxs[j] - idxs[i] if j < len(idxs) else 1
+        while j < len(idxs) and idxs[j] - idxs[j - 1] == step:
+            j += 1
+        spans.append((idxs[i], idxs[j - 1] + 1) + ((step,) if step > 1 else ()))
+        i = j
     return tuple(spans)
 
 
 def expand_spans(spans) -> list[int]:
-    """Expand ``((lo, hi), ...)`` half-open runs back into an index list."""
-    return [i for lo, hi in spans for i in range(lo, hi)]
+    """Expand the runs of :func:`index_spans` back into an index list."""
+    return [i for span in spans for i in range(*span)]
 
 
 @lru_cache(maxsize=4096)

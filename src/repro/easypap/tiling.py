@@ -118,6 +118,11 @@ class TileGrid:
                 self._tiles.append(Tile(idx, ty, tx, y0, x0, h, w))
                 idx += 1
 
+    @property
+    def geometry(self) -> tuple[int, int, int, int]:
+        """``(height, width, tile_h, tile_w)``: ``TileGrid(*geometry)`` rebuilds this grid."""
+        return (self.height, self.width, self.tile_h, self.tile_w)
+
     # -- container protocol ------------------------------------------------------
 
     def __len__(self) -> int:

@@ -21,24 +21,23 @@ area (plus a touch overhead), an async tile costs ``rounds x area``.
 Both steppers also speak the :class:`~repro.easypap.executor.ProcessBackend`
 protocol: when the backend advertises ``uses_processes``, the grid buffers
 are rebound onto shared memory at construction and each batch additionally
-carries picklable :class:`~repro.easypap.executor.TileTask` specs (closures
+carries a picklable :class:`~repro.easypap.executor.BatchSpec` (closures
 cannot cross a process boundary; changed flags come back through
 ``ScheduleResult.returns`` instead).  Steppers owning such a backend hold
 OS resources — call :meth:`close` (or rely on
 :func:`~repro.sandpile.simulate.run_to_fixpoint`, which always does).
 
-**Zero-rebuild batches**: task closures, ``TileTask`` specs, and the
-all-tiles ``TaskBatch`` objects are built once at construction and reused
-every iteration — only the src/dst plane *parity* alternates (two
-pre-built spec lists), so no per-iteration task-spec construction remains
-on the hot path.  Closures read the live planes through the stepper
-(``self._cur_src``/``self._cur_dst``), which is what makes them reusable
-across plane flips.
+**Zero-rebuild batches**: task closures and the all-tiles ``TaskBatch``
+objects are built once at construction and reused every iteration — only
+the src/dst plane *parity* alternates (two pre-built batches), so no
+per-iteration task construction remains on the hot path.  Closures read
+the live planes through the stepper (``self._cur_src``/``self._cur_dst``),
+which is what makes them reusable across plane flips.
 """
 
 from __future__ import annotations
 
-from repro.easypap.executor import SequentialBackend, TaskBatch, TileTask
+from repro.easypap.executor import BatchSpec, SequentialBackend, TaskBatch
 from repro.easypap.grid import Grid2D
 from repro.easypap.tiling import Tile, TileGrid
 from repro.sandpile.kernels import async_tile_relax, sync_tile, sync_tile_nc
@@ -85,24 +84,21 @@ class TiledSyncStepper:
             grid.swap_buffer(plane0)
             self._scratch = plane1
             self._shared = True
-        # -- zero-rebuild caches: closures, specs, and all-tiles batches are
-        # built once; iterations only alternate the plane parity
+        # -- zero-rebuild caches: closures and all-tiles batches are built
+        # once; iterations only alternate the plane parity
         self._all_tiles = list(self.tiles)
         self._changed_flags: dict[int, bool] = {}
         self._cur_src = grid.data
         self._cur_dst = self._scratch
         self._tasks = [self._make_task(t) for t in self._all_tiles]
-        if self._shared:
-            kernel = "sync_tile_nc" if lazy else "sync_tile"
-            self._specs: tuple[list[TileTask], list[TileTask]] | None = (
-                [TileTask(kernel, 0, 1, t) for t in self._all_tiles],
-                [TileTask(kernel, 1, 0, t) for t in self._all_tiles],
-            )
-        else:
-            self._specs = None
+        kernel, geometry = "sync_tile_nc" if lazy else "sync_tile", self.tiles.geometry
+        specs = (
+            (BatchSpec(kernel, 0, 1, geometry), BatchSpec(kernel, 1, 0, geometry))
+            if self._shared
+            else (None, None)
+        )
         self._full_batches = [
-            TaskBatch(self._tasks, tiles=self._all_tiles, spec=spec)
-            for spec in self._specs or (None, None)
+            TaskBatch(self._tasks, tiles=self._all_tiles, spec=spec) for spec in specs
         ]
 
     def _make_task(self, tile: Tile):
@@ -123,8 +119,7 @@ class TiledSyncStepper:
         if len(active) == len(self._all_tiles):
             return full
         # a lazily-selected partial is a subset of the all-tiles batch: it
-        # plans outside the static-plan LRU, and the process backend ships
-        # it as index spans into the resident all-tiles registration
+        # plans outside the static-plan LRU and ships as index spans of tiles
         return full.subset([t.index for t in active])
 
     def close(self) -> None:
@@ -217,13 +212,9 @@ class TiledAsyncStepper:
         self._all_tiles = list(self.tiles)
         self._changed_flags: dict[int, bool] = {}
         self._tasks = [self._make_task(t) for t in self._all_tiles]
-        self._specs = (
-            [TileTask("async_tile_relax", 0, 0, t) for t in self._all_tiles]
-            if self._shared
-            else None
+        self._spec = (
+            BatchSpec("async_tile_relax", 0, 0, self.tiles.geometry) if self._shared else None
         )
-        # the full waves are cached whole: stable identities, so the process
-        # backend may register them as resident batches
         waves = wave_partition(self._all_tiles)
         self._full_wave_batches = [self._wave_batch(w) for w in waves]
         #: tile index -> (wave, position of the tile in that wave's batch)
@@ -239,14 +230,12 @@ class TiledAsyncStepper:
         return task
 
     def _wave_batch(self, wave: list[Tile]) -> TaskBatch:
-        spec = [self._specs[t.index] for t in wave] if self._specs is not None else None
-        return TaskBatch([self._tasks[t.index] for t in wave], tiles=wave, spec=spec)
+        return TaskBatch([self._tasks[t.index] for t in wave], tiles=wave, spec=self._spec)
 
     def _wave_batches(self, active: list[Tile]) -> list[TaskBatch]:
         if len(active) == len(self._all_tiles):
             return self._full_wave_batches
-        # a lazily-selected wave is a subset of its full wave: the process
-        # backend ships it as index spans into the resident full-wave batch
+        # a lazily-selected wave is a subset of its full wave
         picks: list[list[int]] = [[] for _ in self._full_wave_batches]
         for t in active:
             w, i = self._wave_slot[t.index]

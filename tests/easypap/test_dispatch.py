@@ -1,13 +1,14 @@
 """Tests for the persistent-worker dispatch runtime.
 
 The process backend keeps workers resident: shared planes are attached
-once, stable batches register once per identity, and every subsequent
-iteration ships at most one tiny command tuple per worker.  These tests
-pin the pieces the executor contract tests don't see directly: the
-resident registries, selections dispatched against a resident base, the
-claimed dynamic/guided schedules, the parallel-region commands of
-``pfrontier``, the dispatch metrics, the re-registration guarantee after
-a pool rebuild, and the OS resources the runtime releases.
+once per lease, and every command is a parallel region.  A tile batch is
+a one-step region whose command names its tasks by value, so it ships
+one small command per worker whatever its tile count.  These tests pin
+the pieces the executor contract tests don't see directly: command
+sizes, selections shipped as index spans of tiles, the claimed
+dynamic/guided schedules, the parallel-region commands of ``pfrontier``,
+the dispatch metrics, exact batches after a pool rebuild, and the OS
+resources the runtime releases.
 """
 
 import multiprocessing
@@ -21,15 +22,16 @@ import repro.easypap.executor as executor
 import repro.sandpile.kernels  # noqa: F401 - registers the tile kernels
 from repro.common.errors import ConfigurationError
 from repro.easypap.executor import (
+    BatchSpec,
     ProcessBackend,
     SequentialBackend,
     TaskBatch,
-    TileTask,
 )
 from repro.easypap.grid import Grid2D
 from repro.obs import Tracer
 from repro.easypap.schedule import dynamic_chunk_plan, expand_spans, index_spans
 from repro.easypap.tiling import TileGrid, band_tiles
+from repro.sandpile.omp import wave_partition
 from repro.obs.metrics import MetricsRegistry
 
 needs_processes = pytest.mark.skipif(
@@ -52,9 +54,34 @@ def expected_after(g, k=1):
     return e
 
 
-def spec_batch(tiles):
-    spec = [TileTask("sync_tile_nc", 0, 1, t) for t in tiles]
-    return TaskBatch([lambda: None] * len(tiles), tiles=tiles, spec=spec)
+def spec_batch(grid, **opts):
+    """A ``sync_tile_nc`` batch over every tile of the TileGrid *grid*."""
+    tiles = list(grid)
+    spec = BatchSpec("sync_tile_nc", 0, 1, grid.geometry)
+    return TaskBatch([lambda: None] * len(tiles), tiles=tiles, spec=spec, **opts)
+
+
+def region_bytes(batch, policy, planes):
+    """Bytes per region command of one run of *batch* on 2 workers."""
+    reg = MetricsRegistry()
+    with ProcessBackend(2, policy, metrics=reg) as be:
+        be.bind_planes(*planes)
+        be.run(batch)
+    commands = reg.get("easypap_dispatch_commands_total").value(mode="region")
+    return reg.get("easypap_dispatch_bytes_total").value(mode="region") / commands
+
+
+def assert_command_does_not_grow(policy, dynamic):
+    """A full batch of 16 tiles and one of 1,024 ship region commands of a
+    few hundred bytes each under *policy*."""
+    sizes = []
+    for n in (16, 128):
+        g, scratch = make_planes(n)
+        batch = spec_batch(TileGrid(n, n, 4), dynamic=dynamic)
+        sizes.append(region_bytes(batch, policy, (g.data, scratch)))
+    small, big = sizes
+    assert big <= 512, (policy, dynamic)
+    assert big <= small + 16, (policy, dynamic)  # wider ints, not more of them
 
 
 def selected_after(g, scratch, tiles):
@@ -88,6 +115,13 @@ class TestIndexSpans:
         assert index_spans([]) == ()
         assert expand_spans(()) == []
 
+    def test_checkerboard_wave_is_one_strided_run_per_row(self):
+        grid = TileGrid(32, 32, 4)  # 8 x 8 tiles
+        (wave, *_) = wave_partition(list(grid))
+        spans = index_spans(t.index for t in wave)
+        assert spans == tuple((16 * r, 16 * r + 7, 2) for r in range(4))
+        assert expand_spans(spans) == [t.index for t in wave]
+
 
 # -- band rules ---------------------------------------------------------------
 
@@ -107,16 +141,14 @@ class TestBandRule:
         assert len(band_tiles((0, 3, 0, 10), 8)) == 3
 
 
-# -- resident dispatch --------------------------------------------------------
+# -- batches on resident workers ----------------------------------------------
 
 
 class TestResidentDispatch:
     @needs_processes
-    def test_spec_batch_registers_once_and_stays_correct(self):
+    def test_spec_batch_sends_one_region_per_worker(self):
         g, scratch = make_planes()
-        tiles = list(TileGrid(12, 12, 4))
-        spec = [TileTask("sync_tile_nc", 0, 1, t) for t in tiles]
-        batch = TaskBatch([lambda: None] * len(tiles), tiles=tiles, spec=spec)
+        batch = spec_batch(TileGrid(12, 12, 4))
         reg = MetricsRegistry()
         with ProcessBackend(2, metrics=reg) as be:
             p0, p1 = be.bind_planes(g.data, scratch)
@@ -124,41 +156,49 @@ class TestResidentDispatch:
                 be.run(batch)
             assert np.array_equal(p1[1:-1, 1:-1], expected_after(g).interior)
             commands = reg.get("easypap_dispatch_commands_total")
-            # one registration broadcast (2 workers), then resident commands
-            assert commands.value(mode="register") == 2.0
-            assert commands.value(mode="resident") > 0
-            assert commands.value(mode="oneshot") == 0
+            assert commands.value(mode="region") == 3 * 2.0
         # the lease's attach and detach, one per worker, under their own modes
         assert commands.value(mode="attach") == 2.0
         assert commands.value(mode="detach") == 2.0
+        assert {row["labels"]["mode"] for row in commands.samples()} == {
+            "attach", "region", "detach",
+        }
 
     @needs_processes
-    def test_resident_commands_are_smaller_than_oneshot(self):
+    def test_full_batch_command_does_not_grow_with_tiles(self):
+        """16 tiles or 1,024, under every policy: a full batch's command
+        names its tasks by value, a few hundred bytes either way."""
+        for policy in ("static", "cyclic", "dynamic", "guided"):
+            assert_command_does_not_grow(policy, dynamic=False)
+
+    @needs_processes
+    def test_dynamic_spec_batches_ship_by_value(self):
+        """A dynamic batch, built afresh each iteration and planned
+        uncached, ships like any batch: one small region command per
+        worker, exact, whatever its tile count and policy."""
         g, scratch = make_planes()
-        tiles = list(TileGrid(12, 12, 4))
-        spec = [TileTask("sync_tile_nc", 0, 1, t) for t in tiles]
-        resident = TaskBatch([lambda: None] * len(tiles), tiles=tiles, spec=spec)
         reg = MetricsRegistry()
         with ProcessBackend(2, metrics=reg) as be:
-            be.bind_planes(g.data, scratch)
-            be.run(resident)  # registration + first resident run
-            base = reg.get("easypap_dispatch_bytes_total").value(mode="resident")
-            be.run(resident)
-            steady = reg.get("easypap_dispatch_bytes_total").value(mode="resident") - base
-            # a fresh dynamic batch ships its full spec every time
-            oneshot = TaskBatch(
-                [lambda: None] * len(tiles), tiles=tiles, spec=list(spec), dynamic=True
-            )
-            be.run(oneshot)
-            one = reg.get("easypap_dispatch_bytes_total").value(mode="oneshot")
-            assert steady < one / 4
+            _, p1 = be.bind_planes(g.data, scratch)
+            for _ in range(2):
+                p1[:] = 0
+                be.run(spec_batch(TileGrid(12, 12, 4), dynamic=True))
+                assert np.array_equal(p1[1:-1, 1:-1], expected_after(g).interior)
+            commands = reg.get("easypap_dispatch_commands_total")
+            assert commands.value(mode="region") == 2 * 2.0
+        assert {row["labels"]["mode"] for row in commands.samples()} == {
+            "attach", "region", "detach",
+        }
+        for policy in ("static", "cyclic", "dynamic", "guided"):
+            assert_command_does_not_grow(policy, dynamic=True)
 
     @needs_processes
     def test_band_batch_computes_fused_steps(self):
         g, scratch = make_planes()
-        k, window = 3, (0, 12, 0, 12)
-        tiles = band_tiles(window, 2)
-        spec = [TileTask("sync_tile_k", 0, 1, t, arg=k) for t in tiles]
+        k = 3
+        grid = TileGrid(12, 12, 6, 12)  # two full-width bands, as band_tiles cuts them
+        tiles = list(grid)
+        spec = BatchSpec("sync_tile_k", 0, 1, grid.geometry, arg=k)
         batch = TaskBatch([lambda: None] * len(tiles), tiles=tiles, spec=spec, dynamic=True)
         with ProcessBackend(2) as be:
             _, p1 = be.bind_planes(g.data, scratch)
@@ -166,43 +206,23 @@ class TestResidentDispatch:
             assert np.array_equal(p1[1:-1, 1:-1], expected_after(g, k).interior)
 
     @needs_processes
-    def test_dynamic_spec_batches_stay_oneshot(self):
-        g, scratch = make_planes()
-        tiles = list(TileGrid(12, 12, 4))
-        reg = MetricsRegistry()
-        with ProcessBackend(2, metrics=reg) as be:
-            be.bind_planes(g.data, scratch)
-            for _ in range(2):
-                spec = [TileTask("sync_tile_nc", 0, 1, t) for t in tiles]
-                be.run(TaskBatch(
-                    [lambda: None] * len(tiles), tiles=tiles, spec=spec, dynamic=True
-                ))
-            commands = reg.get("easypap_dispatch_commands_total")
-            assert commands.value(mode="register") == 0
-            assert commands.value(mode="oneshot") > 0
-
-    @needs_processes
     def test_queue_wait_histogram_sampled(self):
         g, scratch = make_planes()
-        tiles = list(TileGrid(12, 12, 4))
-        spec = [TileTask("sync_tile_nc", 0, 1, t) for t in tiles]
         reg = MetricsRegistry()
         with ProcessBackend(2, metrics=reg) as be:
             be.bind_planes(g.data, scratch)
-            be.run(TaskBatch([lambda: None] * len(tiles), tiles=tiles, spec=spec))
+            be.run(spec_batch(TileGrid(12, 12, 4)))
             hist = reg.get("easypap_dispatch_queue_wait_seconds")
             assert hist.count() > 0
 
     @needs_processes
-    def test_residents_survive_pool_rebuild(self):
+    def test_batch_runs_exactly_after_pool_rebuild(self):
         g, scratch = make_planes()
-        tiles = list(TileGrid(12, 12, 4))
-        spec = [TileTask("sync_tile_nc", 0, 1, t) for t in tiles]
-        batch = TaskBatch([lambda: None] * len(tiles), tiles=tiles, spec=spec)
+        batch = spec_batch(TileGrid(12, 12, 4))
         with ProcessBackend(2) as be:
             _, p1 = be.bind_planes(g.data, scratch)
-            be.run(batch)  # registers the resident spec
-            be._rebuild_pool()  # fresh workers must replay the registration
+            be.run(batch)
+            be._rebuild_pool()  # fresh workers, attached to the live planes
             p1[:] = 0
             be.run(batch)
             assert np.array_equal(p1[1:-1, 1:-1], expected_after(g).interior)
@@ -231,8 +251,9 @@ class TestRegion:
         assert want.iterations <= result.iterations < want.iterations + k
         commands = reg.get("easypap_dispatch_commands_total")
         assert commands.value(mode="region") == 2.0
-        for mode in ("register", "resident", "oneshot"):
-            assert commands.value(mode=mode) == 0
+        assert {row["labels"]["mode"] for row in commands.samples()} == {
+            "attach", "region", "detach",
+        }
         total = sum(row["value"] for row in commands.samples())
         assert total / result.iterations < 0.1  # attach + region + detach, per job
 
@@ -299,14 +320,14 @@ class TestClaimedChunks:
     def test_one_run_command_per_live_worker(self, policy):
         g, scratch = make_planes()
         tiles = list(TileGrid(12, 12, 4))
-        batch = spec_batch(tiles)
+        batch = spec_batch(TileGrid(12, 12, 4))
         assert len(dynamic_chunk_plan(len(tiles), 2, policy, 1)) > 2  # more chunks than workers
         reg = MetricsRegistry()
         with ProcessBackend(2, policy, metrics=reg) as be:
             _, p1 = be.bind_planes(g.data, scratch)
             r = be.run(batch)
             commands = reg.get("easypap_dispatch_commands_total")
-            assert commands.value(mode="resident") == 2.0
+            assert commands.value(mode="region") == 2.0
             assert sorted(s.task for s in r.spans) == list(range(len(tiles)))
             assert np.array_equal(p1[1:-1, 1:-1], expected_after(g).interior)
 
@@ -320,8 +341,9 @@ class TestClaimedChunks:
         def count(planes, task):
             planes[0][task.tile.index] += 1
 
-        tiles = list(TileGrid(40, 20, 2))
-        spec = [TileTask(name, 0, 0, t) for t in tiles]
+        grid = TileGrid(40, 20, 2)
+        tiles = list(grid)
+        spec = BatchSpec(name, 0, 0, grid.geometry)
         batch = TaskBatch([lambda: None] * len(tiles), tiles=tiles, spec=spec)
         executor.register_tile_kernel(name, count)  # before the fork
         try:
@@ -343,57 +365,51 @@ class TestClaimedChunks:
         reg = MetricsRegistry()
         with ProcessBackend(2, "dynamic", metrics=reg) as be:
             _, p1 = be.bind_planes(g.data, scratch)
-            r = be.run(spec_batch(tiles))
+            r = be.run(spec_batch(TileGrid(12, 12, 4)))
             commands = reg.get("easypap_dispatch_commands_total")
-            assert commands.value(mode="resident") == 2.0 + 2.0 + 1.0
+            assert commands.value(mode="region") == 2.0 + 2.0 + 1.0
             assert sorted(s.task for s in r.spans) == list(range(len(tiles)))
             assert np.array_equal(p1[1:-1, 1:-1], expected_after(g).interior)
 
 
-# -- selections against a resident base ---------------------------------------
+# -- selections of a batch ----------------------------------------------------
 
 
 class TestResidentSelections:
     def test_subset_maps_positions_to_base_tasks(self):
         tiles = list(TileGrid(12, 12, 4))
-        base = spec_batch(tiles)
+        base = spec_batch(TileGrid(12, 12, 4))
         sel = base.subset([1, 4, 5])
-        assert sel.dynamic and sel.base is base and sel.indices == [1, 4, 5]
+        assert sel.dynamic and sel.spec is base.spec
         assert sel.tiles == [tiles[1], tiles[4], tiles[5]]
-        assert sel.spec == [base.spec[1], base.spec[4], base.spec[5]]
         assert sel.tile_coords(2) == (tiles[5].ty, tiles[5].tx)
 
     def test_subset_indices_must_ascend(self):
-        base = spec_batch(list(TileGrid(12, 12, 4)))
+        base = spec_batch(TileGrid(12, 12, 4))
         with pytest.raises(ConfigurationError):
             base.subset([4, 1])
 
     @needs_processes
-    def test_selection_ships_resident_and_smaller_than_oneshot(self):
+    def test_contiguous_selection_command_stays_small(self):
+        """A selection ships its tiles as index spans: it runs exactly the
+        selected tiles, and a contiguous one of 8 or of 512 tiles sends a
+        command of a few hundred bytes."""
         g, scratch = make_planes()
         tiles = list(TileGrid(12, 12, 4))
-        base = spec_batch(tiles)
         idx = [1, 2, 4, 5, 8]
-        reg = MetricsRegistry()
-        with ProcessBackend(2, "dynamic", metrics=reg) as be:
+        with ProcessBackend(2, "dynamic") as be:
             _, p1 = be.bind_planes(g.data, scratch)
-            r = be.run(base.subset(idx))
-            commands = reg.get("easypap_dispatch_commands_total")
-            nbytes = reg.get("easypap_dispatch_bytes_total")
-            assert commands.value(mode="register") == 2.0  # one broadcast of the base
-            assert commands.value(mode="oneshot") == 0
-            per_resident = nbytes.value(mode="resident") / commands.value(mode="resident")
+            r = be.run(spec_batch(TileGrid(12, 12, 4)).subset(idx))
             assert sorted(s.task for s in r.spans) == list(range(len(idx)))
             assert np.array_equal(p1, selected_after(g, scratch, [tiles[i] for i in idx]))
-            # the same selection without a base ships its TileTasks
-            be.run(TaskBatch(
-                [lambda: None] * len(idx),
-                tiles=[tiles[i] for i in idx],
-                spec=[base.spec[i] for i in idx],
-                dynamic=True,
-            ))
-            per_oneshot = nbytes.value(mode="oneshot") / commands.value(mode="oneshot")
-            assert per_resident < per_oneshot
+        g, scratch = make_planes(128)
+        base = spec_batch(TileGrid(128, 128, 4))
+        small, big = (
+            region_bytes(base.subset(range(100, 100 + m)), "dynamic", (g.data, scratch))
+            for m in (8, 512)
+        )
+        assert big <= 512
+        assert big <= small + 16
 
     @needs_processes
     def test_pfrontier_trace_rows_match_sequential(self):
@@ -427,7 +443,7 @@ def test_rebuild_and_close_release_fds_children_and_segments():
     goes idle, and once the idle pool is shut down no child process or fd
     of the backend remains."""
     g, scratch = make_planes()
-    batch = spec_batch(list(TileGrid(12, 12, 4)))
+    batch = spec_batch(TileGrid(12, 12, 4))
     with ProcessBackend(1) as warm:  # starts the shared-memory resource tracker
         warm.bind_planes(g.data, scratch)
     executor.shutdown_idle_pool()

@@ -9,12 +9,12 @@ import repro.sandpile.kernels  # noqa: F401 - registers the tile kernels
 from repro.common.errors import ConfigurationError, KernelError, SchedulingError
 from repro.easypap.executor import (
     _TILE_KERNELS,
+    BatchSpec,
     ProcessBackend,
     SequentialBackend,
     SimulatedBackend,
     TaskBatch,
     ThreadBackend,
-    TileTask,
     get_tile_kernel,
     make_backend,
     register_tile_kernel,
@@ -239,7 +239,7 @@ def make_plane_batch(n=8, grains=6):
     g.interior[:] = grains
     scratch = g.data.copy()
     tiles = list(TileGrid(n, n, 4))
-    spec = [TileTask("sync_tile", 0, 1, t) for t in tiles]
+    spec = BatchSpec("sync_tile", 0, 1, (n, n, 4, 4))
     return g, scratch, tiles, spec
 
 
@@ -289,10 +289,10 @@ class TestProcessBackend:
 
     @needs_processes
     def test_empty_batch(self):
-        g, scratch, _, _ = make_plane_batch()
+        g, scratch, _, spec = make_plane_batch()
         with ProcessBackend(2) as be:
             be.bind_planes(g.data, scratch)
-            r = be.run(TaskBatch([], tiles=[], spec=[]))
+            r = be.run(TaskBatch([], tiles=[], spec=spec))
             assert r.spans == [] and r.returns == []
 
     @needs_processes
@@ -342,8 +342,16 @@ class TestProcessBackend:
             ProcessBackend(2, chunk=0)
 
     def test_spec_length_validated(self):
+        """A spec batch names one tile per task, in ascending index order."""
+        _, _, tiles, spec = make_plane_batch()
         with pytest.raises(ConfigurationError):
-            TaskBatch([lambda: None], spec=[])
+            TaskBatch([lambda: None], spec=spec)  # no tiles
+        with pytest.raises(ConfigurationError):
+            TaskBatch([lambda: None], tiles=tiles[:2], spec=spec)
+        with pytest.raises(ConfigurationError):
+            TaskBatch([lambda: None] * 2, tiles=tiles[1::-1], spec=spec)
+        with pytest.raises(ConfigurationError):  # a TileTask list is no BatchSpec
+            TaskBatch([lambda: None], tiles=tiles[:1], spec=[spec.task(tiles[0])])
 
 
 class TestFactory:

@@ -13,7 +13,7 @@ import pytest
 import repro.sandpile.kernels  # noqa: F401 - registers the tile kernels
 from repro.common.errors import SchedulingError
 from repro.common.resilience import DegradationLog, FaultInjector, RetryPolicy
-from repro.easypap.executor import ProcessBackend, TaskBatch, TileTask
+from repro.easypap.executor import BatchSpec, ProcessBackend, TaskBatch
 from repro.easypap.grid import Grid2D
 from repro.easypap.tiling import TileGrid
 from repro.sandpile.kernels import sync_step, sync_tile
@@ -33,7 +33,7 @@ def make_sync_setup(n=8, grains=6):
     g.interior[:] = grains
     scratch = g.data.copy()
     tiles = list(TileGrid(n, n, 4))
-    spec = [TileTask("sync_tile", 0, 1, t) for t in tiles]
+    spec = BatchSpec("sync_tile", 0, 1, (n, n, 4, 4))
     expected = g.copy()
     sync_step(expected)
     return g, scratch, tiles, spec, expected
@@ -108,9 +108,9 @@ class TestWorkerCrashRecovery:
 class TestFrontierCrashRecovery:
     @needs_processes
     def test_kill_mid_frontier_batch_resumes_from_dirty_bbox(self):
-        """Satellite: a worker death inside a *dynamic* frontier batch must
-        heal on the rebuilt pool and resume from the correct dirty bbox —
-        the whole run stays bit-identical to the single-worker frontier."""
+        """A worker death inside a one-step ``pfrontier`` region must heal
+        on the rebuilt pool and resume from the correct dirty bbox — the
+        whole run stays bit-identical to the single-worker frontier."""
         from repro.sandpile.pfrontier import ParallelFrontierStepper
         from repro.sandpile.vectorized import FrontierSyncStepper
 
@@ -146,14 +146,14 @@ class TestFrontierCrashRecovery:
 def make_selection_setup(idx, n=16, grains=6):
     """A 16-tile base batch, its selection *idx*, and the expected planes.
 
-    Worker processes run the base's resident specs at the selected base
-    indices; the parent-side closures (thread fallback) do the same work.
+    Worker processes run the spec on the selected tiles; the parent-side
+    closures (the thread path) do the same work.
     """
     g = Grid2D(n, n)
     g.interior[:] = grains
     scratch = g.data.copy()
     tiles = list(TileGrid(n, n, 4))
-    spec = [TileTask("sync_tile", 0, 1, t) for t in tiles]
+    spec = BatchSpec("sync_tile", 0, 1, (n, n, 4, 4))
     full = g.copy()
     sync_step(full)
     expected = scratch.copy()
@@ -165,7 +165,7 @@ def make_selection_setup(idx, n=16, grains=6):
 
 
 class TestSelectionFaults:
-    """Selections dispatch against a resident base; dynamic chunks beyond
+    """Selections ship their tiles as index spans; dynamic chunks beyond
     each worker's first are claimed from the shared queue."""
 
     IDX = [1, 2, 5, 6, 9, 10, 13, 14]
@@ -290,6 +290,40 @@ class TestRetryExhaustion:
             assert np.array_equal(p1[1:-1, 1:-1], expected.interior)
             assert be.uses_processes
 
+    @needs_processes
+    @pytest.mark.parametrize("policy", ["static", "dynamic"])
+    def test_raising_tile_keeps_the_rows_before_it(self, policy):
+        """A worker whose tile raises still reports the tiles it finished,
+        so the retry runs only the rest: a counting kernel counts every
+        tile once."""
+        import repro.easypap.executor as executor
+
+        name = "tmp_count_tile"
+
+        def count(planes, task):
+            planes[0][task.tile.index] += 1
+
+        grid = TileGrid(16, 1, 1)
+        tiles = list(grid)
+        batch = TaskBatch([lambda: None] * len(tiles), tiles=tiles,
+                          spec=BatchSpec(name, 0, 0, grid.geometry))
+        log = DegradationLog()
+        injector = FaultInjector(raise_on_tasks={5}, max_fires=1)
+        executor.register_tile_kernel(name, count)  # before the fork
+        try:
+            with ProcessBackend(
+                2, policy, retry=FAST_RETRY, degradation=log, fault_injector=injector
+            ) as be:
+                (counts,) = be.bind_planes(np.zeros(len(tiles), dtype=np.int64))
+                r = be.run(batch)
+                assert counts.tolist() == [1] * len(tiles)
+                assert sorted(s.task for s in r.spans) == list(range(len(tiles)))
+        finally:
+            executor._TILE_KERNELS.pop(name, None)
+        assert injector.fires == 1
+        (rebuild,) = log.by_action("pool-rebuild")
+        assert "InjectedFault" in rebuild.reason
+
 
 class TestBatchHang:
     @needs_processes
@@ -317,7 +351,7 @@ class TestBatchHang:
             return tile_kernel(planes, task)
 
         g, scratch, tiles, _, expected = make_sync_setup()
-        spec = [TileTask(name, 0, 1, t) for t in tiles]
+        spec = BatchSpec(name, 0, 1, (8, 8, 4, 4))
         log = DegradationLog()
         executor.shutdown_idle_pool()
         executor.register_tile_kernel(name, stalling)  # before the fork

@@ -3,7 +3,7 @@
 A clean worker set outlives its backend and is leased by the next backend
 with as many workers.  These tests pin the rules that keep that safe:
 a dead, failed, stale or outdated set is never leased again, one job's
-planes, residents, claim ids and replies never reach the next, and
+planes, claim ids and replies never reach the next, and
 threads leasing at once each get a set of their own.  They kill real
 workers, so they carry the ``faults`` marker.
 """
@@ -20,9 +20,8 @@ import pytest
 
 import repro.easypap.executor as executor
 import repro.sandpile.kernels  # noqa: F401 - registers the tile kernels
-from repro.common.errors import SchedulingError
 from repro.common.resilience import DegradationLog, FaultInjector, RetryPolicy
-from repro.easypap.executor import ProcessBackend, TaskBatch, TileTask
+from repro.easypap.executor import BatchSpec, ProcessBackend, TaskBatch
 from repro.easypap.tiling import TileGrid
 from repro.sandpile.model import center_pile
 from repro.sandpile.pfrontier import ParallelFrontierStepper
@@ -74,6 +73,10 @@ class _Unloadable:
 
     def __reduce__(self):
         return (_refuse, ())
+
+
+def _idle_share(ctx, args) -> None:
+    """A region kernel that does nothing."""
 
 
 def _job_in_child(conn) -> None:
@@ -140,7 +143,7 @@ class TestNeverLeased:
             batch = TaskBatch(
                 [lambda: None] * len(tiles),
                 tiles=tiles,
-                spec=[TileTask(name, 0, 0, t) for t in tiles],
+                spec=BatchSpec(name, 0, 0, (8, 8, 2, 2)),
             )
             with ProcessBackend(2, "static") as be:
                 be.bind_planes(np.zeros(len(tiles), dtype=np.int64))
@@ -167,7 +170,7 @@ class TestNeverLeased:
             batch = TaskBatch(
                 [lambda: None] * len(tiles),
                 tiles=tiles,
-                spec=[TileTask(name, 0, 0, t) for t in tiles],
+                spec=BatchSpec(name, 0, 0, (4, 4, 2, 2)),
             )
             log = DegradationLog()
             with ProcessBackend(
@@ -201,9 +204,9 @@ class TestForkedChild:
 
 class TestIsolation:
     def test_back_to_back_jobs_share_nothing_but_the_processes(self):
-        """Job A and job B both register resident id 0 (different grid
-        sizes, different tiles), and B's first seq tags follow A's: a reply
-        A's workers still owe cannot satisfy B's barrier."""
+        """Job A and job B run on one set (different grid sizes, different
+        tiles), and B's first seq tags follow A's: a reply A's workers
+        still owe cannot satisfy B's barrier."""
         a, b = center_pile(12, 12, 200), center_pile(20, 20, 500)
         be_a = ProcessBackend(2, "dynamic")
         with ParallelFrontierStepper(a.copy(), 4, backend=be_a) as st:
@@ -213,7 +216,7 @@ class TestIsolation:
             ws = be_a._set
             assert ws.seq > 1
             # a reply left over from A: tagged 1, as A's first command was
-            ws.workers[0].conn.send_bytes(pickle.dumps(("run", 1, 0.0, None, [], None)))
+            ws.workers[0].conn.send_bytes(pickle.dumps(("region", 1, 0.0, _idle_share, 1, None)))
         assert pids <= set(children())  # parked idle, not stopped
         grid_b = b.copy()
         be_b = ProcessBackend(2, "dynamic", retry=ONE_ATTEMPT, allow_fallback=False)
@@ -226,19 +229,28 @@ class TestIsolation:
         assert grid_b.sink_absorbed == want_sink
 
     def test_fresh_lease_holds_no_resident_of_the_last(self):
-        """A run against resident id 0 before the new lease registers it
-        fails in the worker instead of running the last lease's tasks."""
-        first = pfrontier_job(center_pile(12, 12, 200))  # registers id 0, then parks
-        with ProcessBackend(2, "dynamic", retry=ONE_ATTEMPT, allow_fallback=False) as be:
-            be.bind_planes(np.zeros((14, 14), dtype=np.int64), np.zeros((14, 14), dtype=np.int64))
-            assert set(be.worker_pids) == first[2]
-            tiles = list(TileGrid(12, 12, 4))
-            spec = [TileTask("sync_tile_nc", 0, 1, t) for t in tiles]
-            batch = TaskBatch([lambda: None] * len(tiles), tiles=tiles, spec=spec)
-            be._resident_for = lambda batch: 0  # skip this lease's registration
-            with pytest.raises(SchedulingError) as exc_info:
-                be.run(batch)
-        assert isinstance(exc_info.value.__cause__, KeyError)
+        """One set runs the batches of job after job, each on its own grid
+        and tiles, and every batch is exact: nothing of an earlier job's
+        batches stays resident in the set past its lease."""
+        from repro.sandpile.kernels import sync_step
+
+        def batch_job(n, tile):
+            g = center_pile(n, n, 40 * n)
+            g.interior[:] += 3
+            want = g.copy()
+            sync_step(want)
+            grid = TileGrid(n, n, tile)
+            tiles = list(grid)
+            spec = BatchSpec("sync_tile_nc", 0, 1, grid.geometry)
+            with ProcessBackend(2, "dynamic", retry=ONE_ATTEMPT, allow_fallback=False) as be:
+                _, p1 = be.bind_planes(g.data, g.data.copy())
+                be.run(TaskBatch([lambda: None] * len(tiles), tiles=tiles, spec=spec))
+                assert np.array_equal(p1[1:-1, 1:-1], want.interior)
+                return set(be.worker_pids)
+
+        first = batch_job(12, 4)
+        assert batch_job(20, 4) == first  # the same set, leased again
+        assert batch_job(20, 5) == first
 
 
 class TestConcurrentLeases:

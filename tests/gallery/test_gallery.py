@@ -11,6 +11,7 @@ import pytest
 
 import repro.gallery  # noqa: F401 - registers variants and tile kernels
 from repro.common.errors import ConfigurationError
+from repro.easypap.executor import ProcessBackend
 from repro.easypap.grid import Grid2D
 from repro.easypap.kernel import get_variant
 from repro.gallery.heat import ALPHA, heat_step
@@ -132,3 +133,29 @@ class TestLife:
         stepper()
         assert np.array_equal(g.interior, expect[1:-1, 1:-1])
         assert g.data[0].sum() == 0 and g.data[:, 0].sum() == 0
+
+
+@pytest.mark.skipif(not ProcessBackend.available(), reason="fork/shared_memory unavailable")
+class TestTiledOnWorkerProcesses:
+    """The gallery's tiled variants on worker processes: the planes move
+    into shared memory and the source plane alternates every step, so
+    several steps match the in-process run bit for bit."""
+
+    @pytest.mark.parametrize("kernel", ["life", "heat"])
+    @pytest.mark.parametrize("policy", ["static", "dynamic"])
+    def test_tiled_matches_sequential_run(self, kernel, policy):
+        make = random_life_grid if kernel == "life" else random_heat_grid
+        a = make(21, 18, seed=5)
+        b = a.copy()
+        sequential = get_variant(kernel, "tiled").fn(a, tile_size=4)
+        on_processes = get_variant(kernel, "tiled").fn(
+            b, tile_size=4, backend=ProcessBackend(2, policy)
+        )
+        try:
+            for _ in range(5):
+                assert on_processes() == sequential()
+                assert np.array_equal(b.data, a.data)
+        finally:
+            on_processes.close()
+            sequential.close()
+        b.interior[0, 0] += 1  # detached from shared memory: still a usable grid

@@ -10,7 +10,7 @@ import pytest
 
 import repro.sandpile.kernels  # noqa: F401 - registers the tile kernels
 from repro.common.resilience import DegradationLog, FaultInjector, RetryPolicy
-from repro.easypap.executor import ProcessBackend, TaskBatch, TileTask
+from repro.easypap.executor import BatchSpec, ProcessBackend, TaskBatch
 from repro.easypap.grid import Grid2D
 from repro.easypap.tiling import TileGrid
 from repro.obs import Tracer, to_chrome_trace
@@ -38,7 +38,7 @@ def make_sync_batch(be, g, scratch, tiles):
 
         return task
 
-    spec = [TileTask("sync_tile", 0, 1, t) for t in tiles]
+    spec = BatchSpec("sync_tile", 0, 1, (g.height, g.width, 4, 4))
     return TaskBatch([mk(t) for t in tiles], tiles=tiles, spec=spec)
 
 

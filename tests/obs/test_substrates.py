@@ -10,7 +10,7 @@ import pytest
 
 import repro.sandpile.kernels  # noqa: F401 - registers the tile kernels
 from repro.common.resilience import DegradationLog, FaultInjector, RetryPolicy
-from repro.easypap.executor import ProcessBackend, TaskBatch, TileTask, add_tile_span
+from repro.easypap.executor import BatchSpec, ProcessBackend, TaskBatch, add_tile_span
 from repro.easypap.grid import Grid2D
 from repro.easypap.tiling import TileGrid
 from repro.mapreduce.cluster import ClusterConfig, SimulatedCluster
@@ -75,7 +75,7 @@ class TestEasypapAdapter:
         g.interior[:] = 6
         scratch = g.data.copy()
         tiles = list(TileGrid(n, n, 4))
-        spec = [TileTask("sync_tile", 0, 1, t) for t in tiles]
+        spec = BatchSpec("sync_tile", 0, 1, (n, n, 4, 4))
         tracer = Tracer()
         with ProcessBackend(2, "dynamic", trace=tracer) as be:
             be.bind_planes(g.data, scratch)

@@ -5,8 +5,8 @@ applied to any tile of any grid equals *k* global synchronous steps
 restricted to that tile — including tiles clamped at the grid edge, where
 the trapezoid's grown read region reads the real sink frame.  Plus the
 stepper-level consequence (Abelian fixpoint invariance) and the
-persistent-runtime guarantee that resident registrations survive a pool
-rebuild mid-run.
+persistent-runtime guarantee that a fused run whose worker dies mid-run
+resumes on a rebuilt pool to the same fixpoint.
 """
 
 import numpy as np
@@ -115,7 +115,7 @@ def test_fused_stepper_reaches_unfused_fixpoint(interior, k, nbands, tile_size):
 @pytest.mark.faults
 @given(seed=st.integers(0, 2**16), k=st.integers(2, 4))
 @settings(max_examples=5, deadline=None)
-def test_resident_reregistration_reproduces_precrash_fixpoint(seed, k):
+def test_pool_rebuild_reproduces_precrash_fixpoint(seed, k):
     """Kill a worker mid-run: the region resumed on the rebuilt set must
     still drive the fused run to the unfaulted fixpoint."""
     from repro.common.resilience import DegradationLog, FaultInjector, RetryPolicy

@@ -163,7 +163,7 @@ class TestProcessBackendSteppers:
     bit-identical to the sequential reference (Dhar's abelian property plus
     deterministic synchronous updates)."""
 
-    @pytest.mark.parametrize("policy", ["static", "dynamic"])
+    @pytest.mark.parametrize("policy", ["static", "cyclic", "dynamic", "guided"])
     @pytest.mark.parametrize("lazy", [False, True])
     def test_sync_fixpoint_bit_identical(self, policy, lazy, small_random_grid, small_random_stable):
         g = small_random_grid.copy()
@@ -174,12 +174,26 @@ class TestProcessBackendSteppers:
             stepper.close()
         assert np.array_equal(g.interior, small_random_stable.interior)
 
-    @pytest.mark.parametrize("policy", ["static", "guided"])
+    @pytest.mark.parametrize("policy", ["static", "cyclic", "dynamic", "guided"])
     def test_async_fixpoint_bit_identical(self, policy, small_random_grid, small_random_stable):
         g = small_random_grid.copy()
         stepper = TiledAsyncStepper(g, 6, backend=ProcessBackend(2, policy))
         try:
             drive(stepper)
+        finally:
+            stepper.close()
+        assert np.array_equal(g.interior, small_random_stable.interior)
+
+    @pytest.mark.parametrize("policy", ["static", "cyclic", "dynamic", "guided"])
+    def test_async_lazy_fixpoint_bit_identical(
+        self, policy, small_random_grid, small_random_stable
+    ):
+        """Lazy waves are subsets of the full waves, shipped as index spans."""
+        g = small_random_grid.copy()
+        stepper = TiledAsyncStepper(g, 6, backend=ProcessBackend(2, policy), lazy=True)
+        try:
+            drive(stepper)
+            assert stepper.tiles_skipped > 0
         finally:
             stepper.close()
         assert np.array_equal(g.interior, small_random_stable.interior)
@@ -220,27 +234,27 @@ class TestProcessBackendSteppers:
 
 
 class TestZeroRebuildBatches:
-    """Task closures, TileTask specs, and full batches are built once at
+    """Task closures, BatchSpecs, and full batches are built once at
     construction; iterations must not construct new ones."""
 
     @staticmethod
-    def _count_tiletask(monkeypatch):
+    def _count_specs(monkeypatch):
         import repro.sandpile.omp as omp_mod
 
-        real = omp_mod.TileTask
+        real = omp_mod.BatchSpec
         counter = {"n": 0}
 
         def counting(*args, **kwargs):
             counter["n"] += 1
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(omp_mod, "TileTask", counting)
+        monkeypatch.setattr(omp_mod, "BatchSpec", counting)
         return counter
 
     @needs_processes
     @pytest.mark.parametrize("lazy", [False, True])
     def test_process_sync_iterations_build_no_specs(self, monkeypatch, lazy):
-        counter = self._count_tiletask(monkeypatch)
+        counter = self._count_specs(monkeypatch)
         g = center_pile(32, 32, 2_000)
         stepper = TiledSyncStepper(g, 8, backend=ProcessBackend(2, "static"), lazy=lazy)
         try:
@@ -254,7 +268,7 @@ class TestZeroRebuildBatches:
 
     @needs_processes
     def test_process_async_iterations_build_no_specs(self, monkeypatch):
-        counter = self._count_tiletask(monkeypatch)
+        counter = self._count_specs(monkeypatch)
         g = center_pile(32, 32, 2_000)
         stepper = TiledAsyncStepper(g, 8, backend=ProcessBackend(2, "static"))
         try:
@@ -267,8 +281,8 @@ class TestZeroRebuildBatches:
             stepper.close()
 
     def test_in_process_backends_never_build_specs(self, monkeypatch):
-        # closures suffice in-process: no TileTask should ever be constructed
-        counter = self._count_tiletask(monkeypatch)
+        # closures suffice in-process: no BatchSpec should ever be constructed
+        counter = self._count_specs(monkeypatch)
         g = center_pile(24, 24, 1_000)
         stepper = TiledSyncStepper(g, 8, backend=SimulatedBackend(4, "dynamic"), lazy=True)
         for _ in range(10):
