@@ -22,11 +22,10 @@ Four small CLIs, mirroring how a student would poke at each system:
   × seeds, each asserting recovery invariants (bit-identical results,
   bounded retries, honest accounting).  Exits non-zero on any violation;
 * ``repro-serve``    — the multi-tenant job service: ``run`` a batch of
-  spec submissions from a config + jobs file, ``submit`` one spec (with
+  spec submissions from a config + jobs file, or ``submit`` one spec (with
   an optional durable result cache, so resubmitting is a cache hit even
-  across processes), ``bench`` an open-arrival Poisson stream and report
-  latency percentiles vs offered load.  ``--metrics-prom`` /
-  ``--trace-out`` export the SLO metrics and the Perfetto trace.
+  across processes).  ``--metrics-prom`` / ``--trace-out`` export the SLO
+  metrics and the Perfetto trace.
 
 ``python -m repro.cli <command> ...`` dispatches to the same entry points.
 """
@@ -617,18 +616,23 @@ def chaos_main(argv: list[str] | None = None) -> int:
     tracer = Tracer(process="chaos") if args.trace_out else None
     report = run_campaign(scenarios, metrics=metrics, tracer=tracer)
     print(report.render())
-    if args.metrics_json:
-        with open(args.metrics_json, "w", encoding="utf-8") as fh:
-            fh.write(metrics.to_json(indent=2))
-        print(f"wrote {args.metrics_json}")
-    if args.metrics_prom:
-        with open(args.metrics_prom, "w", encoding="utf-8") as fh:
-            fh.write(metrics.to_prometheus())
-        print(f"wrote {args.metrics_prom}")
+    _write_metrics(metrics, args.metrics_json, args.metrics_prom)
     if args.trace_out:
         tracer.save_jsonl(args.trace_out)
         print(f"wrote {args.trace_out}")
     return 0 if report.ok else 1
+
+
+def _write_metrics(metrics, json_path: str | None, prom_path: str | None) -> None:
+    """Write *metrics* as JSON and in Prometheus text format, where a path is given."""
+    if json_path:
+        with open(json_path, "w", encoding="utf-8") as fh:
+            fh.write(metrics.to_json(indent=2))
+        print(f"wrote {json_path}")
+    if prom_path:
+        with open(prom_path, "w", encoding="utf-8") as fh:
+            fh.write(metrics.to_prometheus())
+        print(f"wrote {prom_path}")
 
 
 def _parse_param(text: str):
@@ -652,15 +656,16 @@ def serve_main(argv: list[str] | None = None) -> int:
       list of ``{"tenant", "substrate", "workload", "params",
       "priority"}`` rows), drain, and print per-job outcomes plus the
       SLO summary.  Exits 1 when any job *failed* (rejections are honest
-      outcomes, not errors).
+      outcomes, not errors), and 2, with one line naming the file, when
+      either file cannot be read or is malformed; ``examples/serve/``
+      holds a pair to start from.
     * ``submit`` — one spec through an ephemeral single-tenant service;
       with ``--cache-dir`` the result persists, so resubmitting the same
       spec is a cache hit even in a fresh process.
-    * ``bench``  — an open-arrival Poisson stream of mixed-substrate
-      specs; prints latency percentiles vs offered load.
     """
     import asyncio
 
+    from repro.common.errors import ConfigurationError
     from repro.obs import MetricsRegistry, Tracer, save_chrome_trace
     from repro.obs.adapters.serve import render_slo
     from repro.serve import (
@@ -669,10 +674,9 @@ def serve_main(argv: list[str] | None = None) -> int:
         JobSpec,
         Rejected,
         ResultCache,
-        ServiceConfig,
         TenantPolicy,
         load_config,
-        run_bench,
+        load_jobs,
     )
 
     p = argparse.ArgumentParser(prog="repro-serve", description="Multi-tenant async job service")
@@ -703,41 +707,24 @@ def serve_main(argv: list[str] | None = None) -> int:
                           help="durable result cache (resubmission = cross-process hit)")
     add_exports(p_submit)
 
-    p_bench = sub.add_parser("bench", help="open-arrival Poisson load bench")
-    p_bench.add_argument("--requests", type=int, default=50)
-    p_bench.add_argument("--rate", type=float, default=25.0,
-                         help="offered load, requests/second (default 25)")
-    p_bench.add_argument("--workers", type=int, default=2)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--tenants", type=int, default=3,
-                         help="synthetic tenant count (weights 1..N, default 3)")
-    p_bench.add_argument("--max-queued", type=int, default=16,
-                         help="per-tenant queue bound (lower it to see shedding)")
-    p_bench.add_argument("--cache-dir", metavar="DIR", help="durable result cache")
-    add_exports(p_bench)
-
     args = p.parse_args(argv)
 
     metrics = MetricsRegistry()
     tracer = Tracer(process="serve") if args.trace_out else None
 
     def export() -> None:
-        if args.metrics_prom:
-            with open(args.metrics_prom, "w", encoding="utf-8") as fh:
-                fh.write(metrics.to_prometheus())
-            print(f"wrote {args.metrics_prom}")
-        if args.metrics_json:
-            with open(args.metrics_json, "w", encoding="utf-8") as fh:
-                fh.write(metrics.to_json(indent=2))
-            print(f"wrote {args.metrics_json}")
+        _write_metrics(metrics, args.metrics_json, args.metrics_prom)
         if args.trace_out:
             save_chrome_trace(tracer, args.trace_out)
             print(f"wrote {args.trace_out} ({len(tracer.records)} records)")
 
     if args.command == "run":
-        config = load_config(args.config)
-        with open(args.jobs, encoding="utf-8") as fh:
-            rows = json.load(fh)
+        try:
+            config = load_config(args.config)
+            jobs = load_jobs(args.jobs)
+        except ConfigurationError as exc:
+            print(f"repro-serve: {exc}", file=sys.stderr)
+            return 2
         cache = ResultCache(config.cache_dir, memory=config.memory_cache)
 
         async def drive() -> int:
@@ -747,16 +734,11 @@ def serve_main(argv: list[str] | None = None) -> int:
                 metrics=metrics, tracer=tracer,
             ) as service:
                 handles = [
-                    service.submit(
-                        JobSpec(row["substrate"], row["workload"], row.get("params", {})),
-                        tenant=row.get("tenant", "default"),
-                        priority=int(row.get("priority", 0)),
-                    )
-                    for row in rows
+                    service.submit(spec, tenant=tenant, priority=priority)
+                    for tenant, spec, priority in jobs
                 ]
-                for row, handle in zip(rows, handles):
-                    label = (f"{row.get('tenant', 'default')}: "
-                             f"{row['substrate']}/{row['workload']}")
+                for (tenant, spec, _), handle in zip(jobs, handles):
+                    label = f"{tenant}: {spec.substrate}/{spec.workload}"
                     try:
                         result = await handle.result()
                     except JobCancelled as exc:
@@ -778,50 +760,29 @@ def serve_main(argv: list[str] | None = None) -> int:
         export()
         return 1 if failures else 0
 
-    if args.command == "submit":
-        params = dict(_parse_param(t) for t in args.param)
-        spec = JobSpec(args.substrate, args.workload, params)
-        cache = ResultCache(args.cache_dir) if args.cache_dir else None
+    # submit
+    params = dict(_parse_param(t) for t in args.param)
+    spec = JobSpec(args.substrate, args.workload, params)
+    cache = ResultCache(args.cache_dir) if args.cache_dir else None
 
-        async def one() -> int:
-            async with JobService(
-                [TenantPolicy(name=args.tenant)], workers=1, cache=cache,
-                metrics=metrics, tracer=tracer,
-            ) as service:
-                handle = service.submit(spec, tenant=args.tenant)
-                result = await handle.result()
-                if isinstance(result, Rejected):
-                    print(str(result), file=sys.stderr)
-                    return 1
-                hit = " [cache hit]" if handle.cached else ""
-                print(f"{spec.substrate}/{spec.workload}: done{hit} key={handle.key}")
-                print(json.dumps(result, default=repr, indent=2, sort_keys=True))
-                return 0
-
-        rc = asyncio.run(one())
-        export()
-        return rc
-
-    # bench
-    tenants = [
-        TenantPolicy(name=f"tenant{i}", weight=float(i), max_queued=args.max_queued)
-        for i in range(1, args.tenants + 1)
-    ]
-    cache = ResultCache(args.cache_dir) if args.cache_dir else ResultCache(None)
-
-    async def bench() -> None:
+    async def one() -> int:
         async with JobService(
-            tenants, workers=args.workers, cache=cache, metrics=metrics, tracer=tracer,
+            [TenantPolicy(name=args.tenant)], workers=1, cache=cache,
+            metrics=metrics, tracer=tracer,
         ) as service:
-            report = await run_bench(
-                service, requests=args.requests, rate=args.rate, seed=args.seed
-            )
-        print(report.render())
+            handle = service.submit(spec, tenant=args.tenant)
+            result = await handle.result()
+            if isinstance(result, Rejected):
+                print(str(result), file=sys.stderr)
+                return 1
+            hit = " [cache hit]" if handle.cached else ""
+            print(f"{spec.substrate}/{spec.workload}: done{hit} key={handle.key}")
+            print(json.dumps(result, default=repr, indent=2, sort_keys=True))
+            return 0
 
-    asyncio.run(bench())
-    print(render_slo(metrics))
+    rc = asyncio.run(one())
     export()
-    return 0
+    return rc
 
 
 _COMMANDS = {

@@ -6,7 +6,7 @@ The service records raw series (``serve_queue_latency_seconds``,
 summary: p50/p99 quantile estimates per series (the standard
 Prometheus-style linear interpolation inside the owning cumulative
 bucket) and a compact SLO table the CLI prints after ``repro-serve
-run``/``bench``.
+run``.
 """
 
 from __future__ import annotations

@@ -11,14 +11,13 @@ result cache (:mod:`repro.serve.cache`, keyed by
 :func:`repro.serve.spec.cache_key`) makes resubmitting an identical
 assignment cost one dict lookup, bit-identical to the fresh run.
 
-CLI surface: ``repro-serve {run,submit,bench}``; SLO summaries live in
+CLI surface: ``repro-serve {run,submit}``; SLO summaries live in
 :mod:`repro.obs.adapters.serve`.
 """
 
 from repro.serve.admission import AdmissionQueue, Rejected, TenantPolicy
-from repro.serve.bench import BenchReport, default_spec_mix, run_bench
 from repro.serve.cache import ResultCache, result_fingerprint
-from repro.serve.config import ServiceConfig, load_config
+from repro.serve.config import ServiceConfig, load_config, load_jobs
 from repro.serve.service import JobCancelled, JobHandle, JobService
 from repro.serve.spec import (
     SPEC_FORMAT,
@@ -48,7 +47,5 @@ __all__ = [
     "JobCancelled",
     "ServiceConfig",
     "load_config",
-    "BenchReport",
-    "run_bench",
-    "default_spec_mix",
+    "load_jobs",
 ]

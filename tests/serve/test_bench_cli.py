@@ -1,150 +1,19 @@
-"""Tests for the bench harness, service config files, and the serve CLI."""
+"""Tests for the service config and jobs files, and the ``repro-serve`` CLI."""
 
-import asyncio
 import json
-import threading
+from pathlib import Path
 
 import pytest
 
 from repro.cli import serve_main
 from repro.common.errors import ConfigurationError
-from repro.common.job import Job, JobProgress
-from repro.serve import (
-    BenchReport,
-    JobService,
-    JobSpec,
-    ServiceConfig,
-    TenantPolicy,
-    load_config,
-    run_bench,
-)
-from repro.serve.spec import register_workload
+from repro.serve import JobSpec, ServiceConfig, load_config, load_jobs
 
-FAST_MIX = [
-    JobSpec("mapreduce", "wordcount", {"nsplits": 2, "lines_per_split": 2}),
-    JobSpec("simmpi", "world", {"nranks": 2}),
-    JobSpec("wrench", "montage", {"n_projections": 3, "n_difffits": 4}),
-]
-
-#: held shut while a test submits, so no gated job can finish before then
-GATE = threading.Event()
-
-
-class GatedJob(Job):
-    """One step that blocks until :data:`GATE` opens."""
-
-    name = "gated"
-    substrate = "test"
-
-    def __init__(self):
-        self.done = False
-
-    def step(self):
-        if not GATE.wait(timeout=30):
-            raise TimeoutError("the test never opened the gate")
-        self.done = True
-        return False
-
-    def result(self):
-        return {"done": self.done}
-
-    def progress(self):
-        return JobProgress(steps_done=int(self.done), done=self.done, steps_total=1)
-
-
-register_workload("test", "gated", lambda p: GatedJob())
-
-
-class TestRunBench:
-    def test_report_accounts_for_every_request(self):
-        async def body():
-            async with JobService(
-                [TenantPolicy(name="a"), TenantPolicy(name="b")], workers=2
-            ) as svc:
-                return await run_bench(svc, requests=8, rate=200.0, seed=1,
-                                       specs=FAST_MIX)
-
-        report = run_async(body())
-        assert report.requests == 8
-        total = report.completed + report.rejected + report.failed + report.cancelled
-        assert total == 8
-        assert len(report.latencies) == report.completed
-        assert report.cache_hits <= report.completed
-        assert sum(sum(r.values()) for r in report.by_tenant.values()) == 8
-
-    def test_seed_fixes_the_arrival_schedule(self):
-        # same seed => same tenant/spec choices (latencies differ, counts
-        # per tenant must not)
-        async def one():
-            async with JobService(
-                [TenantPolicy(name="a"), TenantPolicy(name="b")], workers=2
-            ) as svc:
-                return await run_bench(svc, requests=10, rate=500.0, seed=7,
-                                       specs=FAST_MIX)
-
-        a, b = run_async(one()), run_async(one())
-        assert sorted(a.by_tenant) == sorted(b.by_tenant)
-        for tenant in a.by_tenant:
-            assert sum(a.by_tenant[tenant].values()) == sum(b.by_tenant[tenant].values())
-
-    def test_shedding_shows_up_in_the_report(self):
-        """Jobs that cannot finish while requests arrive must be shed.
-
-        Every job waits on :data:`GATE`, which opens only once the last
-        request has been admitted or rejected, so one slot running and one
-        queued leave the rest to ``queue-full`` on any host speed.
-        """
-        requests = 12
-
-        async def body():
-            pol = TenantPolicy(name="a", max_active=1, max_queued=1)
-            async with JobService([pol], workers=1) as svc:
-                submit, submitted = svc.submit, []
-
-                def submit_then_count(spec, **kw):
-                    submitted.append(submit(spec, **kw))  # admitted or rejected here
-                    if len(submitted) == requests:
-                        GATE.set()
-                    return submitted[-1]
-
-                svc.submit = submit_then_count
-                return await run_bench(svc, requests=requests, rate=5000.0,
-                                       seed=0, specs=[JobSpec("test", "gated")],
-                                       tenants=["a"])
-
-        GATE.clear()
-        try:
-            report = run_async(body())
-        finally:
-            GATE.set()
-        assert report.completed + report.rejected == requests
-        assert report.rejected > 0
-        assert report.rejected_reasons.get("queue-full", 0) == report.rejected
-
-    def test_render_and_percentiles(self):
-        report = BenchReport(requests=4, rate=10.0, duration=2.0, completed=4,
-                             latencies=[0.010, 0.020, 0.030, 0.040])
-        assert report.percentile(0.0) == 0.010
-        assert report.percentile(1.0) == 0.040
-        assert report.throughput == 2.0
-        text = report.render()
-        assert "4 completed" in text and "latency p50/p90/p99" in text
-
-    def test_validation(self):
-        async def bad(**kw):
-            async with JobService([TenantPolicy(name="a")], workers=1) as svc:
-                await run_bench(svc, **kw)
-
-        with pytest.raises(ConfigurationError, match="requests"):
-            run_async(bad(requests=0))
-        with pytest.raises(ConfigurationError, match="rate"):
-            run_async(bad(rate=-1.0))
-        with pytest.raises(ConfigurationError, match="at least one"):
-            run_async(bad(specs=[]))
-
-
-def run_async(coro):
-    return asyncio.run(coro)
+#: the committed pair the README and the CI serve job run
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples" / "serve"
+#: a valid one-tenant config file's text, and a valid jobs row for that tenant
+CONFIG = json.dumps({"tenants": [{"name": "a"}]})
+WORLD = {"tenant": "a", "substrate": "simmpi", "workload": "world"}
 
 
 class TestServiceConfig:
@@ -201,22 +70,79 @@ class TestServiceConfig:
         else:  # pragma: no cover - only when pyyaml is installed
             assert load_config(path).tenants[0].name == "a"
 
+    def test_load_jobs_fills_defaults(self, tmp_path):
+        path = tmp_path / "jobs.json"
+        path.write_text(json.dumps([
+            {"substrate": "simmpi", "workload": "world"},
+            {**WORLD, "params": {"nranks": 3}, "priority": 2},
+        ]))
+        assert load_jobs(path) == [
+            ("default", JobSpec("simmpi", "world", {}), 0),
+            ("a", JobSpec("simmpi", "world", {"nranks": 3}), 2),
+        ]
+
+
+#: case -> (config text, jobs text, the file the error line names, what
+#: the line says); a text of None means that file does not exist.  Texts
+#: are written as Latin-1, so "\xff" is a byte that starts no UTF-8 text.
+MALFORMED = {
+    "row-without-substrate": (
+        CONFIG, json.dumps([{"tenant": "a", "workload": "world"}]), "jobs",
+        "row 0: missing ['substrate']"),
+    "jobs-not-a-list": (CONFIG, json.dumps(WORLD), "jobs", "root must be a list"),
+    "priority-not-an-int": (
+        CONFIG, json.dumps([WORLD, {**WORLD, "priority": "high"}]), "jobs",
+        "row 1: priority must be int"),
+    "row-not-a-mapping": (CONFIG, json.dumps([["simmpi", "world"]]), "jobs",
+                          "row 0: must be a mapping"),
+    "unknown-job-key": (CONFIG, json.dumps([{**WORLD, "color": "red"}]), "jobs",
+                        "row 0: unknown job keys: ['color']"),
+    "params-not-a-mapping": (CONFIG, json.dumps([{**WORLD, "params": [2]}]), "jobs",
+                             "row 0: params must be dict"),
+    "jobs-not-json": (CONFIG, "[{nope", "jobs", "is not valid JSON"),
+    "jobs-missing": (CONFIG, None, "jobs", "cannot read jobs"),
+    "jobs-not-utf8": (CONFIG, "\xff[", "jobs", "cannot read jobs"),
+    "config-missing": (None, "[]", "config", "cannot read config"),
+    "config-not-utf8": ("\xff{", "[]", "config", "cannot read config"),
+    "unknown-config-key": (json.dumps({"tenants": [{"name": "a"}], "bogus": 1}), "[]",
+                           "config", "unknown config keys"),
+}
+
 
 class TestServeCli:
-    def test_bench_writes_metrics_and_trace(self, tmp_path, capsys):
-        prom = tmp_path / "serve.prom"
+    def test_run_examples_write_metrics_and_trace(self, tmp_path, capsys):
+        prom = tmp_path / "serve-slo.prom"
+        mjson = tmp_path / "serve-metrics.json"
         trace = tmp_path / "serve-trace.json"
         rc = serve_main([
-            "bench", "--requests", "6", "--rate", "200", "--workers", "2",
-            "--metrics-prom", str(prom), "--trace-out", str(trace),
+            "run", "--config", str(EXAMPLES / "config.json"),
+            "--jobs", str(EXAMPLES / "jobs.json"), "--metrics-prom", str(prom),
+            "--metrics-json", str(mjson), "--trace-out", str(trace),
         ])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "offered load" in out and "SLO" in out or "outcomes:" in out
+        rows = json.loads((EXAMPLES / "jobs.json").read_text())
+        assert out.count(": done key=") == len(rows)
+        assert "serve SLO summary" in out
         assert "serve_queue_latency_seconds" in prom.read_text()
+        done = json.loads(mjson.read_text())["serve_jobs_total"]["samples"]
+        assert sum(s["value"] for s in done if s["labels"]["outcome"] == "completed") == len(rows)
         records = json.loads(trace.read_text())
         events = records["traceEvents"] if isinstance(records, dict) else records
         assert any(e.get("name", "").startswith("serve:") for e in events)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_files_exit_2_with_one_line(self, case, tmp_path, capsys):
+        config_text, jobs_text, named, says = MALFORMED[case]
+        paths = {"config": tmp_path / "config.json", "jobs": tmp_path / "jobs.json"}
+        for name, text in (("config", config_text), ("jobs", jobs_text)):
+            if text is not None:
+                paths[name].write_text(text, encoding="latin-1")
+        rc = serve_main(["run", "--config", str(paths["config"]), "--jobs", str(paths["jobs"])])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        line, = captured.err.splitlines()
+        assert says in line and str(paths[named]) in line
 
     def test_run_from_config_and_jobs_files(self, tmp_path, capsys):
         config = tmp_path / "config.json"

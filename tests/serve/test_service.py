@@ -92,10 +92,37 @@ class FailingJob(Job):
         return JobProgress(steps_done=0, done=False)
 
 
+#: held shut while a test submits, so no gated job can finish before then
+GATE = threading.Event()
+
+
+class GatedJob(Job):
+    """One step that blocks until :data:`GATE` opens."""
+
+    name = "gated"
+    substrate = "test"
+
+    def __init__(self):
+        self.done = False
+
+    def step(self):
+        if not GATE.wait(timeout=30):
+            raise TimeoutError("the test never opened the gate")
+        self.done = True
+        return False
+
+    def result(self):
+        return {"done": self.done}
+
+    def progress(self):
+        return JobProgress(steps_done=int(self.done), done=self.done, steps_total=1)
+
+
 # registered once at import: service tests share the global spec registry
 register_workload("test", "slow-count", lambda p: SlowCountJob(**p),
                   defaults={"n": 200, "delay": 0.002})
 register_workload("test", "doomed", lambda p: FailingJob())
+register_workload("test", "gated", lambda p: GatedJob())
 
 
 def run(coro):
@@ -168,6 +195,41 @@ class TestSubmitBasics:
 
         outcomes = run(body())
         assert any(o == "shutting-down" for o in outcomes)
+
+    def test_overflow_is_shed_as_queue_full(self):
+        """With one slot running and one queued, the rest are ``queue-full``.
+
+        Every job waits on :data:`GATE`, which opens only after the last
+        submission, so no job can finish and free a place while the
+        requests arrive, on any host speed.
+        """
+        requests = 12
+        metrics = MetricsRegistry()
+
+        async def body():
+            pol = TenantPolicy(name="a", max_active=1, max_queued=1)
+            async with JobService([pol], workers=1, metrics=metrics) as svc:
+                handles = []
+                for _ in range(requests):
+                    handles.append(svc.submit(JobSpec("test", "gated"), tenant="a"))
+                    await asyncio.sleep(0)  # the worker may pick up the queued job
+                statuses = collections.Counter(h.status for h in handles)
+                GATE.set()
+                return statuses, [await _outcome(h) for h in handles]
+
+        GATE.clear()
+        try:
+            statuses, outcomes = run(body())
+        finally:
+            GATE.set()
+        assert statuses == {JobHandle.RUNNING: 1, JobHandle.QUEUED: 1,
+                            JobHandle.REJECTED: requests - 2}
+        completed, rejected = outcomes.count("ok"), outcomes.count("queue-full")
+        assert rejected == requests - 2
+        assert completed + rejected == requests
+        shed = metrics.get("serve_jobs_total").value(
+            tenant="a", outcome="rejected", reason="queue-full")
+        assert shed == rejected
 
 
 async def _outcome(handle):
