@@ -239,13 +239,13 @@ def _is_concrete(v) -> bool:
 
 
 def _summary_fused_buffers(args, kwargs, interp):
-    """Model of ``repro.sandpile.kernels._fused_buffers``: two fresh local
+    """Model of ``repro.sandpile.kernels._fused_buffers``: four fresh local
     ``(h+2, w+2)`` scratch planes (the thread-local cache is invisible to
-    other tasks, so a fresh pair is an exact abstraction)."""
+    other tasks, so fresh planes are an exact abstraction)."""
     if len(args) < 2 or not isinstance(args[0], int) or not isinstance(args[1], int):
         raise SymbolicRefusal("_fused_buffers with non-concrete extents")
     h, w = args[0], args[1]
-    return (LocalArray((h + 2, w + 2)), LocalArray((h + 2, w + 2)))
+    return tuple(LocalArray((h + 2, w + 2)) for _ in range(4))
 
 
 #: ``module.qualname`` -> fn(args, kwargs, interp) -> abstract return value.

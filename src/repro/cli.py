@@ -636,9 +636,10 @@ def _write_metrics(metrics, json_path: str | None, prom_path: str | None) -> Non
 
 
 def _parse_param(text: str):
-    """``key=value`` with JSON-decoded value (bare words stay strings)."""
+    """``key=value`` with JSON-decoded value (bare words stay strings); the
+    argparse ``type`` of ``--param``, so a malformed one is a usage error."""
     if "=" not in text:
-        raise ValueError(f"expected key=value, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected key=value, got {text!r}")
     key, _, raw = text.partition("=")
     try:
         return key, json.loads(raw)
@@ -701,6 +702,7 @@ def serve_main(argv: list[str] | None = None) -> int:
     p_submit.add_argument("--substrate", required=True)
     p_submit.add_argument("--workload", required=True)
     p_submit.add_argument("--param", action="append", default=[], metavar="K=V",
+                          type=_parse_param,
                           help="spec parameter (repeatable; value parsed as JSON)")
     p_submit.add_argument("--tenant", default="cli")
     p_submit.add_argument("--cache-dir", metavar="DIR",
@@ -761,7 +763,7 @@ def serve_main(argv: list[str] | None = None) -> int:
         return 1 if failures else 0
 
     # submit
-    params = dict(_parse_param(t) for t in args.param)
+    params = dict(args.param)
     spec = JobSpec(args.substrate, args.workload, params)
     cache = ResultCache(args.cache_dir) if args.cache_dir else None
 

@@ -9,10 +9,11 @@ state and be **restored** from a snapshot.
 
 The four real execution paths implement it:
 
-* :class:`repro.easypap.job.SandpileJob` — one step per stepper call
-  (all registered variants; ``pfrontier`` runs a segment of steps as one
-  parallel region); checkpoints carry the grid plane, sink counter, and
-  iteration count.
+* :class:`repro.easypap.job.SandpileJob` — one step per stepper call,
+  a segment of steps per :meth:`Job.advance` (a loop of calls that checks
+  the stop signal between them; ``pfrontier`` runs it as one parallel
+  region); checkpoints carry the grid plane, sink counter, and iteration
+  count.
 * :class:`repro.mapreduce.stepjob.MapReduceStepJob` — one step per map
   task / shuffle / reduce partition; checkpoints carry the phase manifest
   (completed spills, partitions, outputs, per-task counters).

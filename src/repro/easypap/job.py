@@ -3,12 +3,12 @@
 :class:`SandpileJob` is the one sandpile job: it builds any registered
 kernel variant — including ``pfrontier`` on the process backend — runs
 it one segment at a time until the grid reaches its fixpoint, and closes
-the stepper.  A segment is one stepper call, or, for a stepper that
-takes segments (``pfrontier``), as many calls as the caller asks for,
-run as one parallel region.  The
-:class:`~repro.common.supervisor.Supervisor` loop drives it, and
-``run_to_fixpoint``, ``EasyPapApp`` and ``PerfCampaign`` are thin
-callers of that loop.
+the stepper.  A segment is as many steps as the caller asks for: that
+many stepper calls in one loop, which checks the stop signal between
+them, or, for a stepper with ``advance`` (``pfrontier``), one parallel
+region.  The :class:`~repro.common.supervisor.Supervisor` loop drives
+it, and ``run_to_fixpoint``, ``EasyPapApp`` and ``PerfCampaign`` are
+thin callers of that loop.
 
 Checkpointing is **restore-by-rebuild**: a snapshot carries the full grid
 plane (interior + sink frame), the sink counter, and the iteration count;
@@ -26,6 +26,7 @@ chaos kill-and-resume scenario asserts.
 from __future__ import annotations
 
 import hashlib
+import time
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from repro.easypap.kernel import get_variant
 
 __all__ = ["SandpileJob", "make_stepper"]
 
-#: track group of a traced job's per-segment wall-clock spans
+#: track group of a traced job's per-call (per-region) wall-clock spans
 DRIVER_PID = "easypap-driver"
 
 
@@ -63,9 +64,11 @@ class SandpileJob(Job):
     built lazily on the first step so that a restored grid rebuilds its
     stepper from the snapshot, not from the initial state.
 
-    A step is one stepper call.  :attr:`iterations` counts executed grid
-    iterations (``k`` per call of a temporally blocked stepper); a step
-    taken once it has reached *max_iterations* raises ``SimulationError``.
+    A step is one stepper call, and a segment (:meth:`advance`) runs up
+    to its limit of them within *max_iterations*.  :attr:`iterations`
+    counts executed grid iterations (``k`` per call of a temporally
+    blocked stepper); a segment asked for once it has reached
+    *max_iterations* raises ``SimulationError``.
 
     The synchronous family is double-buffered (writes land off-plane
     until commit), so a raised step leaves the live plane intact and
@@ -99,7 +102,6 @@ class SandpileJob(Job):
         #: the live stepper: built on the first step, dropped by close()
         self.stepper = None
         self._k = 1
-        self._takes_segments = False
         self._trace = options.get("trace")
         #: spec params when built via from_spec; None for direct-grid jobs
         self._spec_params: dict | None = None
@@ -184,54 +186,71 @@ class SandpileJob(Job):
         return self.advance(1) > 0
 
     def advance(self, limit: int, stop: StopSignal | None = None) -> int:
-        """Up to *limit* steps as one segment (one stepper call unless the
-        stepper has ``advance``, as ``pfrontier`` does); a call that raises
-        keeps the steps its segment published, counts them in the
-        exception's ``steps_published``, and closes the stepper, so the
-        next runs on a fresh one built from the grid (exact, as
-        restore-by-rebuild is).  Traced, each call is one span under
-        :data:`DRIVER_PID`, named after the iteration it starts from."""
+        """Up to *limit* steps as one segment; returns the steps that
+        changed the grid (0 once it is stable).
+
+        The steps are stepper calls in one loop, which ends early at a step
+        boundary once *stop* is requested or its ``at`` has passed (the
+        clock is read only when ``at`` is set); a stepper with ``advance``
+        (``pfrontier``) runs them as one parallel region instead.  A call
+        that raises keeps the steps its segment published, counts them in
+        the exception's ``steps_published``, and closes the stepper, so the
+        next segment runs on a fresh one built from the grid (exact, as
+        restore-by-rebuild is).  Traced, each stepper call (each region) is
+        one span under :data:`DRIVER_PID`, named after the iteration it
+        starts from."""
         if self._done:
             return 0
         if self.iterations >= self.max_iterations:
             raise SimulationError(
                 f"{self.name}: no fixpoint within {self.max_iterations} iterations"
             )
-        if not self._trace:
-            return self._segment(limit, stop)
-        args = {"iteration": self.iterations, "kernel": self.kernel, "variant": self.variant}
-        with self._trace.span(f"iteration {self.iterations}", cat="iteration",
-                              pid=DRIVER_PID, tid="driver", args=args):
-            return self._segment(limit, stop)
-
-    def _segment(self, limit: int, stop: StopSignal | None) -> int:
         stepper = self.stepper
         if stepper is None:
             stepper = self.stepper = self._factory(self.grid, **self.options)
             self._k = getattr(stepper, "k", 1)
-            self._takes_segments = hasattr(stepper, "advance")
+        k = self._k
+        steps = min(limit, -(-(self.max_iterations - self.iterations) // k))
+        region = getattr(stepper, "advance", None)
+        start = self.iterations
+        first = 0 if region is None else stepper.iterations
         try:
-            if not self._takes_segments:
-                if stepper():
-                    self.iterations += self._k
-                    return 1
-                self._done = True
-                return 0
-            k = self._k
-            asked = min(limit * k, self.max_iterations - self.iterations)
-            start = stepper.iterations
-            ran = stepper.advance(asked, stop)
+            if region is None:
+                self._calls(stepper, steps, stop)
+            else:
+                ran = self._traced(region, steps * k, stop)
+                # the stepper also counts the call that found the grid stable
+                self._done = stepper.iterations - first > ran
+                self.iterations += ran
         except BaseException as exc:
-            if self._takes_segments:  # the steps the segment published stand
-                published = stepper.iterations - start
-                self.iterations += published
-                exc.steps_published = published // self._k
+            if region is not None:  # the steps the region published stand
+                self.iterations = start + stepper.iterations - first
+            exc.steps_published = (self.iterations - start) // k
             self.close()
             raise
-        # the stepper also counts the call that found the grid stable
-        self._done = stepper.iterations - start > ran
-        self.iterations += ran
-        return ran // k
+        return (self.iterations - start) // k
+
+    def _calls(self, stepper, steps: int, stop: StopSignal | None) -> None:
+        """Up to *steps* stepper calls, each adding ``k`` to :attr:`iterations`."""
+        k, trace = self._k, self._trace
+        for ran in range(steps):
+            if ran and stop is not None and (
+                stop.requested or (stop.at is not None and time.monotonic() >= stop.at)
+            ):
+                return
+            if not (self._traced(stepper) if trace else stepper()):
+                self._done = True
+                return
+            self.iterations += k
+
+    def _traced(self, fn, *args):
+        """``fn(*args)``, inside one driver span when the job is traced."""
+        if not self._trace:
+            return fn(*args)
+        detail = {"iteration": self.iterations, "kernel": self.kernel, "variant": self.variant}
+        with self._trace.span(f"iteration {self.iterations}", cat="iteration",
+                              pid=DRIVER_PID, tid="driver", args=detail):
+            return fn(*args)
 
     def result(self) -> dict:
         """Fixpoint fingerprint: iterations, final interior, sink counter."""

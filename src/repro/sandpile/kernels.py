@@ -20,10 +20,14 @@ Kernel glossary (paper names in parentheses):
   the sweep is sliced to a rectangle containing every unstable cell.
 * :func:`unstable_bbox` / :func:`grow_window` — dirty-bounding-box helpers
   the frontier steppers use to track where activity can possibly be.
-* :func:`sync_gather` / :func:`sink_loss` — ``sync_step``'s shared-shift
-  update of one interior rectangle, and its whole-interior sink count; the
-  in-process ``tiled``/``lazy``/``split`` steppers run a few such gathers
-  per iteration over merged rectangles of tiles.
+* :func:`sync_gather` / :func:`sync_changed` — ``sync_step``'s
+  shared-shift update of one interior rectangle, and its one-call change
+  test; ``lazy`` with tiles skipped runs a few such gathers per iteration
+  over merged rectangles of active tiles.  :func:`share_views` /
+  :func:`add_shares` are the same update over fixed rectangles that
+  partition the interior (``vec``, ``split``, and ``tiled``/``lazy`` with
+  every tile active), with the views sliced once, and :func:`sink_loss`
+  their whole-interior sink count.
 * :func:`sync_tile` / :func:`async_tile_relax` — tile-local forms used by
   the tiled, lazy, and parallel variants.  ``async_tile_relax`` keeps
   toppling inside one tile until the tile is internally stable, pushing
@@ -36,6 +40,7 @@ Kernel glossary (paper names in parentheses):
 from __future__ import annotations
 
 import threading
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,7 +51,10 @@ from repro.easypap.tiling import Tile
 __all__ = [
     "sync_step",
     "sync_gather",
+    "share_views",
+    "add_shares",
     "sink_loss",
+    "sync_changed",
     "sync_tile",
     "sync_tile_nc",
     "sync_tile_k_array",
@@ -87,10 +95,10 @@ def unstable_bbox(interior: np.ndarray, window: Window | None = None) -> Window 
         if y0 >= y1 or x0 >= x1:
             return None
     mask = interior[y0:y1, x0:x1] >= 4
-    rows = np.flatnonzero(mask.any(axis=1))
+    (rows,) = mask.any(axis=1).nonzero()
     if rows.size == 0:
         return None
-    cols = np.flatnonzero(mask.any(axis=0))
+    (cols,) = mask.any(axis=0).nonzero()
     return (
         y0 + int(rows[0]),
         y0 + int(rows[-1]) + 1,
@@ -117,12 +125,19 @@ def _touches_border(window: Window, height: int, width: int) -> bool:
     return y0 == 0 or x0 == 0 or y1 == height or x1 == width
 
 
-def sync_step(grid: Grid2D, out: np.ndarray | None = None, window: Window | None = None) -> bool:
+def sync_step(
+    grid: Grid2D,
+    out: np.ndarray | None = None,
+    window: Window | None = None,
+    div: np.ndarray | None = None,
+) -> bool:
     """One synchronous iteration, vectorised; optionally windowed.
 
-    *out* may supply a preallocated ``(H+2, W+2)`` scratch array (reused
-    across iterations to avoid per-step allocations).  Returns True when
-    any interior cell changed.
+    *out* and *div* may supply preallocated ``(H+2, W+2)`` scratch planes
+    (reused across iterations to avoid per-step allocations): *div* takes
+    the ``>> 2`` of the window grown by one cell, *out* the updated window
+    (:func:`sync_gather`), which is copied back.  Returns True when any
+    interior cell changed, read off the shift plane (:func:`sync_changed`).
 
     *window* slices the update to a sub-rectangle ``(y0, y1, x0, x1)`` of
     the interior.  This is exact — cells outside the window cannot change
@@ -131,41 +146,28 @@ def sync_step(grid: Grid2D, out: np.ndarray | None = None, window: Window | None
     window, so no grain crosses its boundary except into the sink frame.
     Sink accounting is likewise sliced: grains lost off the edge equal the
     window's grain deficit, and only windows touching the border can lose
-    any.
+    any.  The whole-grid step also drains the sink frame.
     """
     d = grid.data
     if out is None:
         out = np.empty_like(d)
     elif out.shape != d.shape:
         raise ValueError(f"scratch buffer shape {out.shape} != grid shape {d.shape}")
-
-    if window is not None:
-        y0, y1, x0, x1 = window
-        ys = slice(y0 + 1, y1 + 1)
-        xs = slice(x0 + 1, x1 + 1)
-        centre = d[ys, xs]
-        new = out[ys, xs]
-        np.bitwise_and(centre, 3, out=new)
-        new += d[ys, x0:x1] >> 2
-        new += d[ys, x0 + 2 : x1 + 2] >> 2
-        new += d[y0:y1, xs] >> 2
-        new += d[y0 + 2 : y1 + 2, xs] >> 2
-        changed = bool((new != centre).any())
-        if _touches_border(window, grid.height, grid.width):
-            # net window deficit == grains that toppled into the sink frame
-            grid.sink_absorbed += int(centre.sum()) - int(new.sum())
-        d[ys, xs] = new
-        return changed
-
-    div = d >> 2  # d // 4, sign-safe because counts are non-negative
-    interior_new = sync_gather(d, div, out, (0, grid.height, 0, grid.width))
-    changed = bool((interior_new != d[1:-1, 1:-1]).any())
-    # Grains toppling off the edge are not written anywhere (the sink frame
-    # is never computed); account for them so conservation stays checkable.
-    grid.sink_absorbed += sink_loss(div)
-    d[1:-1, 1:-1] = interior_new
-    grid.drain_sink()
-    return changed
+    if div is None:
+        div = np.empty_like(d)
+    box = (0, grid.height, 0, grid.width) if window is None else window
+    y0, y1, x0, x1 = box
+    grown = (slice(y0, y1 + 2), slice(x0, x1 + 2))
+    np.right_shift(d[grown], 2, out=div[grown])
+    new = sync_gather(d, div, out, box)
+    centre = d[y0 + 1 : y1 + 1, x0 + 1 : x1 + 1]
+    if _touches_border(box, grid.height, grid.width):
+        # net window deficit == grains that toppled into the sink frame
+        grid.sink_absorbed += int(centre.sum()) - int(new.sum())
+    centre[...] = new
+    if window is None:
+        grid.drain_sink()
+    return sync_changed(div[y0 + 1 : y1 + 1, x0 + 1 : x1 + 1])
 
 
 def sync_gather(src: np.ndarray, div: np.ndarray, dst: np.ndarray, window: Window) -> np.ndarray:
@@ -174,9 +176,8 @@ def sync_gather(src: np.ndarray, div: np.ndarray, dst: np.ndarray, window: Windo
     *div* must hold ``src >> 2`` over the window grown by one cell, so the
     four neighbour terms are slices of one precomputed plane rather than
     four fresh shifts.  Writes the window of *dst* (a different plane from
-    *src*) and returns that view.  :func:`sync_step` runs it over the whole
-    interior; the in-process tiled steppers run it once per merged
-    rectangle of tiles.
+    *src*) and returns that view.  :func:`sync_step` runs it over its
+    window; ``lazy`` runs it once per merged rectangle of active tiles.
     """
     y0, y1, x0, x1 = window
     ys = slice(y0 + 1, y1 + 1)
@@ -189,16 +190,63 @@ def sync_gather(src: np.ndarray, div: np.ndarray, dst: np.ndarray, window: Windo
     return new
 
 
+def share_views(div: np.ndarray, window: Window) -> tuple:
+    """The interior slices of *window* and the four neighbour views of *div*
+    its update reads, for :func:`add_shares`: built once per fixed window."""
+    y0, y1, x0, x1 = window
+    ys = slice(y0 + 1, y1 + 1)
+    xs = slice(x0 + 1, x1 + 1)
+    return ys, xs, div[ys, x0:x1], div[ys, x0 + 2 : x1 + 2], div[y0:y1, xs], div[y0 + 2 : y1 + 2, xs]
+
+
+def add_shares(dst: np.ndarray, shares) -> None:
+    """Add every window's four neighbour shares into *dst*.
+
+    *shares* comes from :func:`share_views` over a plane holding
+    ``src >> 2``; with ``dst`` holding ``src & 3`` over the windows, this
+    completes their synchronous update, as :func:`sync_gather` does, in
+    four in-place adds per window and no temporary.
+    """
+    for ys, xs, west, east, north, south in shares:
+        new = dst[ys, xs]
+        new += west
+        new += east
+        new += north
+        new += south
+
+
 def sink_loss(div: np.ndarray) -> int:
     """Grains one whole-interior synchronous step topples into the sink.
 
     *div* is the step's ``src >> 2`` plane.  Each edge cell loses one
-    div-portion per sink-facing side; corner cells appear in two sums,
-    which is exactly right (two sink sides).
+    div-portion per sink-facing side: one gather through a cached flat
+    index that lists every edge cell once per sink side (corners twice).
     """
-    return int(
-        div[1, 1:-1].sum() + div[-2, 1:-1].sum() + div[1:-1, 1].sum() + div[1:-1, -2].sum()
-    )
+    return int(div.take(_edge_index(div.shape)).sum())
+
+
+@lru_cache(maxsize=64)
+def _edge_index(shape: tuple[int, int]) -> np.ndarray:
+    """Flat indices of a framed plane's interior edge cells, one per sink side."""
+    flat = np.arange(shape[0] * shape[1]).reshape(shape)
+    return np.concatenate((flat[1, 1:-1], flat[-2, 1:-1], flat[1:-1, 1], flat[1:-1, -2]))
+
+
+def sync_changed(div: np.ndarray) -> bool:
+    """Whether the synchronous step with ``>> 2`` plane *div* changes the grid.
+
+    *div* is ``src >> 2`` over the interior, or over a window of it that
+    holds every unstable cell, or over a whole framed plane whose sink
+    frame holds fewer than four grains per cell (an empty frame does).
+    The step changes the grid iff some cell holds >= 4 grains, so one
+    ``any`` of *div* replaces comparing two planes.  Proof: if the step
+    maps a grid to itself, ``t = d >> 2`` satisfies ``4 t(v) = sum of
+    t(u)`` over the interior neighbours *u* of every cell *v*.  At a
+    maximum of ``t`` all four neighbours then hold that maximum, so it
+    spreads to the border, where fewer than four neighbours count:
+    ``t == 0`` everywhere.
+    """
+    return bool(div.any())
 
 
 def sync_tile(src: np.ndarray, dst: np.ndarray, tile: Tile) -> bool:
@@ -241,59 +289,67 @@ def sync_tile_nc(src: np.ndarray, dst: np.ndarray, tile: Tile) -> None:
     )
 
 
-def _gather5(s: np.ndarray, d: np.ndarray, sy: int, sx: int, dy: int, dx: int, h: int, w: int) -> None:
+def _gather5(
+    s: np.ndarray, d: np.ndarray, sy: int, sx: int, dy: int, dx: int, h: int, w: int,
+    q: np.ndarray, n: np.ndarray,
+) -> None:
     """One synchronous gather of an ``h x w`` region across two framed arrays.
 
     ``(sy, sx)``/``(dy, dx)`` are the *framed* coordinates of the region's
-    first cell in source/destination.  Expressed entirely in ufuncs so a
+    first cell in source/destination.  The region grown by one cell is
+    shifted once into scratch *q*, and its four neighbour views are added
+    in place to the region's ``& 3`` in scratch *n*, as :func:`sync_gather`
+    does, so a call allocates nothing.  Expressed entirely in ufuncs so a
     shadow-plane source records every read (the dynamic race certifier
     replays fused kernels through this path).
     """
-    d[dy : dy + h, dx : dx + w] = (
-        (s[sy : sy + h, sx : sx + w] & 3)
-        + (s[sy : sy + h, sx - 1 : sx - 1 + w] >> 2)
-        + (s[sy : sy + h, sx + 1 : sx + 1 + w] >> 2)
-        + (s[sy - 1 : sy - 1 + h, sx : sx + w] >> 2)
-        + (s[sy + 1 : sy + 1 + h, sx : sx + w] >> 2)
-    )
+    q = q[: h + 2, : w + 2]
+    np.right_shift(s[sy - 1 : sy + h + 1, sx - 1 : sx + w + 1], 2, out=q)
+    new = n[:h, :w]
+    np.bitwise_and(s[sy : sy + h, sx : sx + w], 3, out=new)
+    new += q[1 : h + 1, 0:w]
+    new += q[1 : h + 1, 2 : w + 2]
+    new += q[0:h, 1 : w + 1]
+    new += q[2 : h + 2, 1 : w + 1]
+    d[dy : dy + h, dx : dx + w] = new
 
 
 _fused_scratch = threading.local()
 
 
-def _fused_buffers(h: int, w: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Reusable per-thread buffer pair for the fused trapezoid.
+def _fused_buffers(h: int, w: int, dtype: np.dtype) -> tuple[np.ndarray, ...]:
+    """Reusable per-thread buffers for the fused trapezoid.
 
-    One backing pair per thread, grown monotonically to the largest
-    window seen and sliced down to each request, so the steady state of a
-    fused run allocates nothing.  Only the one-cell frame is re-zeroed
-    (it plays the sink at clamped edges): the first sub-step overwrites
-    buffer ``a``'s whole interior, and every later read stays inside the
-    previous sub-step's written region or the frame, so stale interior
-    cells are never observed.
+    The planes ``a`` and ``b`` the sub-steps ping-pong between, and the
+    scratch ``q``/``n`` of :func:`_gather5`, all ``(h+2, w+2)``.  One
+    backing set per thread, grown monotonically to the largest window seen
+    and sliced down to each request, so the steady state of a fused run
+    allocates nothing.  Only the one-cell frame of ``a`` and ``b`` is
+    re-zeroed (it plays the sink at clamped edges): the first sub-step
+    overwrites buffer ``a``'s whole interior, and every later read stays
+    inside the previous sub-step's written region or the frame, so stale
+    interior cells are never observed.
     """
-    pair = getattr(_fused_scratch, "pair", None)
+    bufs = getattr(_fused_scratch, "bufs", None)
     if (
-        pair is None
-        or pair[0].dtype != dtype
-        or pair[0].shape[0] < h + 2
-        or pair[0].shape[1] < w + 2
+        bufs is None
+        or bufs[0].dtype != dtype
+        or bufs[0].shape[0] < h + 2
+        or bufs[0].shape[1] < w + 2
     ):
-        hh = h + 2 if pair is None else max(h + 2, pair[0].shape[0])
-        ww = w + 2 if pair is None else max(w + 2, pair[0].shape[1])
+        hh = h + 2 if bufs is None else max(h + 2, bufs[0].shape[0])
+        ww = w + 2 if bufs is None else max(w + 2, bufs[0].shape[1])
         # amortised: reallocated only when a thread first sees a larger window
-        pair = _fused_scratch.pair = (
-            np.zeros((hh, ww), dtype=dtype),  # analysis: allow
-            np.zeros((hh, ww), dtype=dtype),  # analysis: allow
+        bufs = _fused_scratch.bufs = tuple(
+            np.zeros((hh, ww), dtype=dtype) for _ in range(4)  # analysis: allow
         )
-    a = pair[0][: h + 2, : w + 2]
-    b = pair[1][: h + 2, : w + 2]
+    a, b, q, n = (m[: h + 2, : w + 2] for m in bufs)
     for m in (a, b):
         m[0, :] = 0
         m[-1, :] = 0
         m[:, 0] = 0
         m[:, -1] = 0
-    return a, b
+    return a, b, q, n
 
 
 def sync_tile_k_array(src: np.ndarray, dst: np.ndarray, tile: Tile, k: int) -> None:
@@ -335,12 +391,12 @@ def sync_tile_k_array(src: np.ndarray, dst: np.ndarray, tile: Tile, k: int) -> N
     # read halo makes the full grown-by-k cone)
     gy0, gy1, gx0, gx1 = grown(k - 1)
     h, w = gy1 - gy0, gx1 - gx0
-    a, b = _fused_buffers(h, w, src.dtype)
-    _gather5(src, a, gy0 + 1, gx0 + 1, 1, 1, h, w)
+    a, b, q, n = _fused_buffers(h, w, src.dtype)
+    _gather5(src, a, gy0 + 1, gx0 + 1, 1, 1, h, w, q, n)
     for j in range(2, k):
         ry0, ry1, rx0, rx1 = grown(k - j)
         ly, lx = ry0 - gy0 + 1, rx0 - gx0 + 1
-        _gather5(a, b, ly, lx, ly, lx, ry1 - ry0, rx1 - rx0)
+        _gather5(a, b, ly, lx, ly, lx, ry1 - ry0, rx1 - rx0, q, n)
         a, b = b, a
     _gather5(
         a,
@@ -351,6 +407,8 @@ def sync_tile_k_array(src: np.ndarray, dst: np.ndarray, tile: Tile, k: int) -> N
         tile.x0 + 1,
         tile.h,
         tile.w,
+        q,
+        n,
     )
 
 

@@ -48,8 +48,14 @@ class LazyFlags:
         #: cached 4-neighbour dilation of ``_changed`` (rebuilt on demand,
         #: dropped whenever the changed plane moves)
         self._need: np.ndarray | None = None
+        #: tiles set in ``_changed``; when all are, the dilation is ``_all``
+        self._nchanged = self._changed.size
+        self._all = np.ones(shape, dtype=bool)
         #: active count from the last query, committed by :meth:`advance`
         self._pending: int | None = None
+        #: reduceat starts of the tile rows/columns (sliced to a sub-box)
+        self._rstarts = np.arange(tiles.tiles_y) * tiles.tile_h
+        self._cstarts = np.arange(tiles.tiles_x) * tiles.tile_w
         #: cumulative statistics (exposed for the Fig. 3 / A2 benchmarks)
         self.computed_total = 0
         self.skipped_total = 0
@@ -59,11 +65,14 @@ class LazyFlags:
     def _need_mask(self) -> np.ndarray:
         """Boolean tile plane: tile or any 4-neighbour changed last iteration.
 
-        One vectorised dilation of the ``changed`` plane; cached until the
-        plane advances.
+        One vectorised dilation of the ``changed`` plane (none when every
+        tile changed); cached until the plane advances.
         """
         if self._need is None:
             c = self._changed
+            if self._nchanged == c.size:
+                self._need = self._all
+                return self._all
             need = c.copy()
             need[1:, :] |= c[:-1, :]
             need[:-1, :] |= c[1:, :]
@@ -90,7 +99,7 @@ class LazyFlags:
         committed to the skip statistics by :meth:`advance`.
         """
         need = self._need_mask()
-        self._pending = int(np.count_nonzero(need))
+        self._pending = need.size if need is self._all else int(np.count_nonzero(need))
         return need, self._pending
 
     def active_tiles(self) -> list[Tile]:
@@ -121,26 +130,30 @@ class LazyFlags:
         One vectorised compare + per-tile ``logical_or`` reduction replaces
         per-tile ``.any()`` calls.  The scan is restricted to the bounding
         box of the last :meth:`active_tiles` query — tiles outside it were
-        not recomputed, so their planes are equal by construction.
+        not recomputed, so their planes are equal by construction.  When the
+        query found every tile active, the search is skipped and the whole
+        contiguous planes are compared (frames included, then dropped).
         """
         t = self.tiles
         need = self._need
-        if need is not None:
-            ridx = np.flatnonzero(need.any(axis=1))
+        if need is None or self._pending == len(t):
+            ty0, ty1, tx0, tx1 = 0, t.tiles_y, 0, t.tiles_x
+            diff = (src != dst)[1:-1, 1:-1]
+        else:
+            (ridx,) = need.any(axis=1).nonzero()
             if ridx.size == 0:
                 return
-            cidx = np.flatnonzero(need.any(axis=0))
+            (cidx,) = need.any(axis=0).nonzero()
             ty0, ty1 = int(ridx[0]), int(ridx[-1]) + 1
             tx0, tx1 = int(cidx[0]), int(cidx[-1]) + 1
-        else:
-            ty0, ty1, tx0, tx1 = 0, t.tiles_y, 0, t.tiles_x
-        y0, y1 = ty0 * t.tile_h, min(ty1 * t.tile_h, t.height)
-        x0, x1 = tx0 * t.tile_w, min(tx1 * t.tile_w, t.width)
-        diff = src[1 + y0 : 1 + y1, 1 + x0 : 1 + x1] != dst[1 + y0 : 1 + y1, 1 + x0 : 1 + x1]
-        rstarts = np.arange(ty1 - ty0) * t.tile_h
-        cstarts = np.arange(tx1 - tx0) * t.tile_w
-        mask = np.logical_or.reduceat(np.logical_or.reduceat(diff, rstarts, axis=0), cstarts, axis=1)
-        self._next[ty0:ty1, tx0:tx1] |= mask
+            y0, y1 = ty0 * t.tile_h, min(ty1 * t.tile_h, t.height)
+            x0, x1 = tx0 * t.tile_w, min(tx1 * t.tile_w, t.width)
+            box = (slice(1 + y0, 1 + y1), slice(1 + x0, 1 + x1))
+            diff = src[box] != dst[box]
+        rows = np.logical_or.reduceat(diff, self._rstarts[: ty1 - ty0], axis=0)
+        self._next[ty0:ty1, tx0:tx1] |= np.logical_or.reduceat(
+            rows, self._cstarts[: tx1 - tx0], axis=1
+        )
 
     def advance(self) -> bool:
         """Commit the current iteration's flags; True if anything changed.
@@ -155,11 +168,13 @@ class LazyFlags:
         self._changed, self._next = self._next, self._changed
         self._next[...] = False
         self._need = None
-        return bool(self._changed.any())
+        self._nchanged = int(np.count_nonzero(self._changed))
+        return self._nchanged > 0
 
     def reset(self) -> None:
         """Mark every tile dirty again (e.g. after an external grid edit)."""
         self._changed[...] = True
+        self._nchanged = self._changed.size
         self._next[...] = False
         self._need = None
         self._pending = None

@@ -72,6 +72,8 @@ class TiledSyncStepper:
         self.tiles = TileGrid(grid.height, grid.width, tile_size)
         self.backend = backend if backend is not None else SequentialBackend()
         self.lazy_flags = LazyFlags(self.tiles) if lazy else None
+        # no tile writes the sink frame: drained now, it stays empty on both planes
+        grid.drain_sink()
         self._scratch = grid.data.copy()
         self.iterations = 0
         self.tiles_computed = 0
@@ -172,7 +174,6 @@ class TiledSyncStepper:
         self._scratch = self.grid.swap_buffer(self._scratch)
         if self._shared:
             self._src_plane = 1 - self._src_plane
-        self.grid.drain_sink()
         self.iterations += 1
         return changed
 
@@ -198,6 +199,7 @@ class TiledAsyncStepper:
         self.tiles = TileGrid(grid.height, grid.width, tile_size)
         self.backend = backend if backend is not None else SequentialBackend()
         self.lazy_flags = LazyFlags(self.tiles) if lazy else None
+        grid.drain_sink()
         self.iterations = 0
         self.tiles_computed = 0
         self.tiles_skipped = 0

@@ -270,6 +270,8 @@ class ParallelFrontierStepper:
         #: per-iteration ``(iteration, window, active_tiles)`` — the obs
         #: adapter turns this into frontier counter tracks
         self.window_log: list[tuple[int, Window, int]] = []
+        # no step writes the sink frame: drained now, it stays empty on both planes
+        grid.drain_sink()
         plane0, self._scratch = self.backend.bind_planes(grid.data, grid.data.copy())
         #: True when the bound planes are shared memory, which close() leaves
         self._shared = plane0 is not grid.data
@@ -287,7 +289,9 @@ class ParallelFrontierStepper:
         self._bbox = unstable_bbox(grid.interior)
 
     def reset(self) -> None:
-        """Rescan the whole grid (e.g. after an external grid edit)."""
+        """Drain the sink frame and rescan the whole grid (e.g. after an
+        external grid edit)."""
+        self.grid.drain_sink()
         np.copyto(self._scratch, self.grid.data)
         self._prev = None
         self._bbox = unstable_bbox(self.grid.interior)

@@ -70,11 +70,14 @@ class RunResult:
 # -- variant factories --------------------------------------------------------
 #
 # Each factory takes (grid, **options) and returns a nullary stepper callable
-# that performs one iteration and returns whether anything changed.
+# that performs one iteration and returns whether anything changed.  Every
+# stepper drains the sink frame once, when built: grains already there when
+# a run starts count as absorbed, once.
 
 
 @register_variant("sandpile", "seq", description="scalar reference loops (Fig. 2 sync)")
 def _sandpile_seq(grid: Grid2D, **_opts):
+    grid.drain_sink()
     return lambda: sync_step_reference(grid)
 
 
@@ -183,6 +186,7 @@ def _sandpile_pfrontier(
     tags=("racy-by-design",),
 )
 def _asandpile_seq(grid: Grid2D, *, order: str = "raster", **_opts):
+    grid.drain_sink()
     return lambda: async_step_reference(grid, order=order)
 
 
@@ -265,18 +269,19 @@ def run_to_fixpoint(
     when *max_iterations* of them pass without reaching the fixpoint.
 
     A thin caller of the :class:`~repro.common.supervisor.Supervisor`
-    loop, with one attempt per segment and no checkpoints:
-    ``pfrontier`` runs all iterations left in the budget as one segment
-    (one parallel region, of the workers or in process), every other
-    variant one stepper call at a time.
+    loop, with one attempt per segment and no checkpoints: every variant
+    runs all iterations left in the budget as one segment, a loop of
+    stepper calls (``pfrontier``: one parallel region, of the workers or
+    in process).
 
     *trace* (a :class:`repro.obs.Tracer`) receives the tile spans of the
     variants that record them, under the ``easypap`` track group, and one
-    wall-clock span per segment under ``easypap-driver`` (a pid of its
-    own: tile spans run on batch time, not on the tracer's clock), named
-    after the grid iteration the segment starts from.  A falsy tracer
-    (None or :class:`repro.obs.NullTracer`) costs one branch per segment —
-    the hot-path guard the overhead benchmark holds to <=5%.
+    wall-clock span per stepper call (per region, for ``pfrontier``)
+    under ``easypap-driver`` (a pid of its own: tile spans run on batch
+    time, not on the tracer's clock), named after the grid iteration the
+    call starts from.  A falsy tracer (None or
+    :class:`repro.obs.NullTracer`) costs one branch per call — the
+    hot-path guard the overhead benchmark holds to <=5%.
     """
     with SandpileJob(
         grid, kernel, variant, max_iterations=max_iterations, trace=trace, **options

@@ -7,8 +7,12 @@ are invited to implement a separate variant for inner tiles to enable
 aggressive compiler optimisations".  In numpy terms the analogue is: inner
 tiles run a branch-free slice expression, outer tiles the careful path
 (here the same expression — the frame makes it safe — but routed separately
-so the split's bookkeeping and benchmarks mirror the C exercise; the
-fast path skips the changed-test that the careful path performs).
+so the split's bookkeeping and benchmarks mirror the C exercise).
+
+No synchronous stepper here writes the sink frame: each drains it once,
+when built.  All but ``lazy``, whose flags need the per-tile diff, read
+whether a step changed the grid off its ``>> 2`` plane
+(:func:`~repro.sandpile.kernels.sync_changed`), not by comparing planes.
 
 In C a tile is a cache-sized loop nest; in NumPy one call per tile pays
 the interpreter once per tile, which on small tiles costs more than the
@@ -36,9 +40,12 @@ from repro.easypap.tiling import TileGrid
 from repro.obs.tracer import Tracer
 from repro.sandpile.kernels import (
     Window,
+    add_shares,
     async_sweep,
     grow_window,
+    share_views,
     sink_loss,
+    sync_changed,
     sync_gather,
     sync_step,
     unstable_bbox,
@@ -57,15 +64,33 @@ __all__ = [
 
 
 class SyncVecStepper:
-    """Whole-grid synchronous stepper (variant ``vec``) with a reused scratch buffer."""
+    """Whole-grid synchronous stepper (variant ``vec``).
+
+    The other plane takes ``src & 3`` and the neighbour shares of a
+    reused ``>> 2`` plane (:func:`add_shares`), then the planes swap.  The
+    step never writes the sink frame, so the frame drained at construction
+    stays empty on both planes, and the shift plane answers the change
+    test in one call (see :func:`sync_changed`).
+    """
 
     def __init__(self, grid: Grid2D) -> None:
         self.grid = grid
-        self._scratch = np.empty_like(grid.data)
+        grid.drain_sink()
+        self._scratch = np.zeros_like(grid.data)
+        self._div = np.empty_like(grid.data)
+        self._shares = [share_views(self._div, (0, grid.height, 0, grid.width))]
         self.iterations = 0
 
     def __call__(self) -> bool:
-        changed = sync_step(self.grid, out=self._scratch)
+        grid = self.grid
+        src, dst, div = grid.data, self._scratch, self._div
+        np.right_shift(src, 2, out=div)
+        np.bitwise_and(src, 3, out=dst)
+        add_shares(dst, self._shares)
+        changed = sync_changed(div)
+        if changed:
+            grid.sink_absorbed += sink_loss(div)
+        self._scratch = grid.swap_buffer(dst)
         self.iterations += 1
         return changed
 
@@ -75,6 +100,7 @@ class AsyncVecStepper:
 
     def __init__(self, grid: Grid2D) -> None:
         self.grid = grid
+        grid.drain_sink()
         self.iterations = 0
 
     def __call__(self) -> bool:
@@ -89,8 +115,9 @@ class FrontierSyncStepper:
     Tracks the bounding box of unstable cells across iterations; each step
     computes only that box grown by one cell (exact: topplers sit strictly
     inside the window, receivers inside it too, so cells outside cannot
-    change).  The next box is rescanned *within* the old window only, so
-    per-iteration cost is O(window), not O(grid).
+    change): :func:`sync_step` with the window, shifting it once into a
+    reused ``>> 2`` plane.  The next box is rescanned *within* the old
+    window only, so per-iteration cost is O(window), not O(grid).
 
     ``window_cells`` accumulates the number of cells actually computed —
     divide by ``iterations * H * W`` for the fraction of full-grid work
@@ -100,12 +127,15 @@ class FrontierSyncStepper:
     def __init__(self, grid: Grid2D) -> None:
         self.grid = grid
         self._scratch = np.empty_like(grid.data)
-        self._bbox = unstable_bbox(grid.interior)
+        self._div = np.empty_like(grid.data)
         self.iterations = 0
         self.window_cells = 0
+        self.reset()
 
     def reset(self) -> None:
-        """Rescan the whole grid (e.g. after an external grid edit)."""
+        """Drain the sink frame and rescan the whole grid (e.g. after an
+        external grid edit)."""
+        self.grid.drain_sink()
         self._bbox = unstable_bbox(self.grid.interior)
 
     def __call__(self) -> bool:
@@ -116,7 +146,7 @@ class FrontierSyncStepper:
             return False
         grid = self.grid
         window = grow_window(bbox, grid.height, grid.width)
-        changed = sync_step(grid, out=self._scratch, window=window)
+        changed = sync_step(grid, out=self._scratch, window=window, div=self._div)
         self.window_cells += (window[1] - window[0]) * (window[3] - window[2])
         self._bbox = unstable_bbox(grid.interior, window)
         return changed
@@ -133,12 +163,14 @@ class FrontierAsyncStepper:
 
     def __init__(self, grid: Grid2D) -> None:
         self.grid = grid
-        self._bbox = unstable_bbox(grid.interior)
         self.iterations = 0
         self.window_cells = 0
+        self.reset()
 
     def reset(self) -> None:
-        """Rescan the whole grid (e.g. after an external grid edit)."""
+        """Drain the sink frame and rescan the whole grid (e.g. after an
+        external grid edit)."""
+        self.grid.drain_sink()
         self._bbox = unstable_bbox(self.grid.interior)
 
     def __call__(self) -> bool:
@@ -157,20 +189,21 @@ class SplitSyncStepper:
     """Synchronous tiled stepper with distinct inner/outer tile paths.
 
     Inner tiles (no sink contact) take the fast path: together they form
-    one rectangle, updated in one gather with no change test.  Outer tiles
-    take the careful path: the border strips they form are gathered one by
-    one and change-tested until one has changed, and the inner rectangle is
-    compared only when no strip changed.  Both paths read one shared
-    ``>> 2`` plane, and the planes swap instead of copying the interior
-    back.  Counters expose how many tiles ran on each path, which the A3
-    benchmark reports.
+    one rectangle, updated in one gather.  Outer tiles take the careful
+    path: the border strips they form, gathered one by one.  Both paths
+    add the shares of one ``>> 2`` plane (:func:`add_shares`, views sliced
+    once) to the ``& 3`` of the whole plane; the shift plane also answers
+    the change test in one call (see :func:`sync_changed`), and the planes
+    swap instead of copying the interior back.  Counters expose how many
+    tiles ran on each path, which the A3 benchmark reports.
     """
 
     def __init__(self, grid: Grid2D, tile_size: int = 32) -> None:
         self.grid = grid
         self.tiles = TileGrid(grid.height, grid.width, tile_size)
-        # the planes swap, and drain_sink counts whatever the live plane's
-        # frame holds: the scratch frame must start at zero
+        # the planes swap and no gather writes a frame: both frames start,
+        # and so stay, empty
+        grid.drain_sink()
         self._scratch = np.zeros_like(grid.data)
         self._div = np.empty_like(grid.data)
         self._inner = self.tiles.inner_tiles()
@@ -180,8 +213,8 @@ class SplitSyncStepper:
             outer[t.ty, t.tx] = True
         # the tile set never changes: one inner rectangle (none when every
         # tile touches the edge) and up to four border strips
-        self._inner_windows = self.tiles.merged_windows(~outer)
-        self._outer_windows = self.tiles.merged_windows(outer)
+        self._inner_shares = [share_views(self._div, w) for w in self.tiles.merged_windows(~outer)]
+        self._outer_shares = [share_views(self._div, w) for w in self.tiles.merged_windows(outer)]
         self.iterations = 0
         self.inner_tile_updates = 0
         self.outer_tile_updates = 0
@@ -190,27 +223,18 @@ class SplitSyncStepper:
         grid = self.grid
         src, dst, div = grid.data, self._scratch, self._div
         np.right_shift(src, 2, out=div)
+        np.bitwise_and(src, 3, out=dst)
 
-        for window in self._inner_windows:
-            sync_gather(src, div, dst, window)
+        add_shares(dst, self._inner_shares)
         self.inner_tile_updates += len(self._inner)
 
-        changed = False
-        for window in self._outer_windows:
-            new = sync_gather(src, div, dst, window)
-            changed = changed or bool((new != _view(src, window)).any())
+        add_shares(dst, self._outer_shares)
         self.outer_tile_updates += len(self._outer)
 
-        if not changed:
-            changed = any(
-                bool((_view(dst, window) != _view(src, window)).any())
-                for window in self._inner_windows
-            )
-
+        changed = sync_changed(div)
         if changed:
             grid.sink_absorbed += sink_loss(div)
         self._scratch = grid.swap_buffer(dst)
-        grid.drain_sink()
         self.iterations += 1
         return changed
 
@@ -219,11 +243,12 @@ class MergedTiledStepper:
     """In-process ``tiled`` and ``lazy`` synchronous stepper.
 
     The tile decomposition decides which cells an iteration computes and
-    what it reports; the work itself runs in a few NumPy calls.  The active
-    tiles are merged into rectangles (:meth:`TileGrid.merged_windows`) and
-    each rectangle is one :func:`sync_gather` from a ``>> 2`` plane shifted
-    once over their bounding box.  With every tile active that is a single
-    whole-interior gather, as in :func:`sync_step`.
+    what it reports; the work itself runs in a few NumPy calls.  With every
+    tile active the whole interior is updated as ``vec`` updates it
+    (:func:`add_shares`); otherwise the active tiles are merged into
+    rectangles (:meth:`TileGrid.merged_windows`) and each rectangle is one
+    :func:`sync_gather` from a ``>> 2`` plane shifted once over their
+    bounding box.
 
     What the tiles teach stays per tile: the ``tiles_computed`` and
     ``tiles_skipped`` counters, the :class:`LazyFlags` change tracking, and,
@@ -232,12 +257,15 @@ class MergedTiledStepper:
     (row-major tasks on worker 0, each costing one touch plus its area,
     every iteration starting where the previous one ended).
 
-    Skipped tiles are never written.  The planes swap every iteration, so
+    Skipped tiles are never written, and neither is the sink frame, which
+    is drained at construction.  The planes swap every iteration, so
     the scratch plane holds the state of two iterations back; a tile is
     skipped only when it did not change in the previous iteration, so that
     older state already equals the current one there.  An edit to the grid
     between calls therefore needs ``lazy_flags.reset()``, as the lazy
-    flags themselves do.
+    flags themselves do.  With every tile computed (``tiled``), the shift
+    plane answers the change test in one call (see :func:`sync_changed`);
+    ``lazy`` needs its per-tile diff for the flags anyway.
 
     :class:`~repro.sandpile.omp.TiledSyncStepper` runs the same variants
     one task per tile on any executor backend (the ``omp`` variant).
@@ -258,9 +286,10 @@ class MergedTiledStepper:
         #: where the next iteration's tile spans start (batch time, as recorded
         #: by the executor backends)
         self._timeline_end = 0.0
+        grid.drain_sink()
         self._scratch = grid.data.copy()
         self._div = np.empty_like(grid.data)
-        self._whole = [(0, grid.height, 0, grid.width)]
+        self._whole = [share_views(self._div, (0, grid.height, 0, grid.width))]
         self.iterations = 0
         self.tiles_computed = 0
         self.tiles_skipped = 0
@@ -273,26 +302,34 @@ class MergedTiledStepper:
         need, active = (None, ntiles) if flags is None else flags.active_mask()
         self.tiles_computed += active
         self.tiles_skipped += ntiles - active
-        windows = self._whole if active == ntiles else self.tiles.merged_windows(need)
-        box = _bounding_box(windows)
-        if box is not None:
-            y0, y1, x0, x1 = box
-            np.right_shift(src[y0 : y1 + 2, x0 : x1 + 2], 2, out=div[y0 : y1 + 2, x0 : x1 + 2])
-            for window in windows:
-                sync_gather(src, div, dst, window)
+        whole = active == ntiles
+        if whole:
+            np.right_shift(src, 2, out=div)
+            np.bitwise_and(src, 3, out=dst)
+            add_shares(dst, self._whole)
+        else:
+            windows = self.tiles.merged_windows(need)
+            box = _bounding_box(windows)
+            if box is not None:
+                y0, y1, x0, x1 = box
+                grown = (slice(y0, y1 + 2), slice(x0, x1 + 2))
+                np.right_shift(src[grown], 2, out=div[grown])
+                for window in windows:
+                    sync_gather(src, div, dst, window)
         if self.trace:
             self._record(need)
 
         if flags is None:
-            changed = bool((_view(dst, box) != _view(src, box)).any())
+            changed = sync_changed(div)  # every tile computed: div is whole
         else:
             flags.mark_from_diff(src, dst)
             changed = flags.advance()
         if changed:
-            # cells outside the box are equal on both planes
-            grid.sink_absorbed += int(_view(src, box).sum()) - int(_view(dst, box).sum())
+            if whole:
+                grid.sink_absorbed += sink_loss(div)
+            else:  # cells outside the box are equal on both planes
+                grid.sink_absorbed += int(_view(src, box).sum()) - int(_view(dst, box).sum())
         self._scratch = grid.swap_buffer(dst)
-        grid.drain_sink()
         self.iterations += 1
         return changed
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.common.errors import ConfigurationError
@@ -42,8 +42,24 @@ from repro.serve.spec import JobSpec
 
 __all__ = ["ServiceConfig", "load_config", "load_jobs"]
 
-#: the keys a jobs row may carry, each with the one type it must have
-_JOB_KEYS = {"tenant": str, "substrate": str, "workload": str, "params": dict, "priority": int}
+#: the keys a jobs row, a config and a tenant may carry, each with the
+#: types its value may have
+_JOB_KEYS = {
+    "tenant": (str,), "substrate": (str,), "workload": (str,), "params": (dict,), "priority": (int,),
+}
+_CONFIG_KEYS = {
+    "tenants": (list,), "workers": (int,), "cache_dir": (str, type(None)), "memory_cache": (bool,),
+}
+_TENANT_KEYS = {"name": (str,), "weight": (int, float), "max_active": (int,), "max_queued": (int,)}
+
+
+def _check_types(row: dict, types: dict, where: str) -> None:
+    """Raise ConfigurationError unless each value of *row* has one of its
+    key's *types* (a JSON ``true`` is a bool, never a number)."""
+    for key, value in row.items():
+        if type(value) not in types[key]:
+            names = " or ".join("null" if t is type(None) else t.__name__ for t in types[key])
+            raise ConfigurationError(f"{where}{key} must be {names}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -67,23 +83,25 @@ class ServiceConfig:
         """Build from a parsed config document (see module docs for shape)."""
         if not isinstance(doc, dict):
             raise ConfigurationError(f"config root must be a mapping, got {type(doc).__name__}")
-        unknown = set(doc) - {"tenants", "workers", "cache_dir", "memory_cache"}
+        unknown = set(doc) - set(_CONFIG_KEYS)
         if unknown:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
+        _check_types(doc, _CONFIG_KEYS, "")
         raw_tenants = doc.get("tenants", [])
         tenants = []
         for row in raw_tenants:
             if not isinstance(row, dict):
                 raise ConfigurationError(f"tenant entries must be mappings, got {row!r}")
-            extra = set(row) - {"name", "weight", "max_active", "max_queued"}
+            extra = set(row) - set(_TENANT_KEYS)
             if extra:
                 raise ConfigurationError(f"unknown tenant keys: {sorted(extra)}")
+            _check_types(row, _TENANT_KEYS, "tenant ")
             tenants.append(TenantPolicy(**row))
         return cls(
             tenants=tuple(tenants),
-            workers=int(doc.get("workers", 2)),
+            workers=doc.get("workers", 2),
             cache_dir=doc.get("cache_dir"),
-            memory_cache=bool(doc.get("memory_cache", True)),
+            memory_cache=doc.get("memory_cache", True),
         )
 
 
@@ -139,11 +157,7 @@ def load_jobs(path: str | os.PathLike) -> list[tuple[str, JobSpec, int]]:
         missing = [k for k in ("substrate", "workload") if k not in row]
         if missing:
             raise ConfigurationError(f"{where}: missing {missing}")
-        for key, value in row.items():
-            if type(value) is not _JOB_KEYS[key]:  # exact: a JSON true is no priority
-                raise ConfigurationError(
-                    f"{where}: {key} must be {_JOB_KEYS[key].__name__}, got {value!r}"
-                )
+        _check_types(row, _JOB_KEYS, f"{where}: ")
         spec = JobSpec(row["substrate"], row["workload"], row.get("params", {}))
         jobs.append((row.get("tenant", "default"), spec, row.get("priority", 0)))
     return jobs

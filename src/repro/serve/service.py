@@ -119,7 +119,10 @@ class JobHandle:
         newest one each time it gets round to it, so snapshots never go
         backwards, one offered while the loop is busy replaces the one
         before it, and the last before the end is the final state.  The
-        stream ends when the job resolves.
+        stream ends when the job resolves.  A job that runs all its steps
+        as one segment (every sandpile variant, in process or as a
+        ``pfrontier`` region) offers one snapshot per segment, not per
+        step.
         """
         if self.done():
             return

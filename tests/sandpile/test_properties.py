@@ -5,6 +5,9 @@ These pin the library to Dhar's mathematics on *arbitrary* inputs:
 * every optimised variant reaches the scalar reference's fixpoint;
 * the merged-rectangle ``tiled``/``lazy`` stepper matches the per-tile
   executor stepper step for step, bookkeeping and trace included;
+* the in-process synchronous steppers report a change exactly when the
+  interior changed, never write the sink frame, and match the scalar
+  reference call for call;
 * grains are conserved modulo the sink;
 * stabilisation is idempotent and monotone-translation-equivariant;
 * the group operation is commutative.
@@ -21,6 +24,7 @@ from repro.obs import Tracer
 from repro.sandpile.model import center_pile
 from repro.sandpile.omp import TiledAsyncStepper, TiledSyncStepper
 from repro.sandpile.reference import stabilize_reference
+from repro.sandpile.simulate import make_stepper
 from repro.sandpile.theory import add, stabilize
 from repro.sandpile.vectorized import MergedTiledStepper
 
@@ -164,3 +168,30 @@ def test_merged_tiled_stepper_matches_per_tile_stepper(interior, tile_size, lazy
         assert trace.records == ref_trace.records
         if not changed:
             break
+
+
+@given(interior=st.one_of(_busy, _sparse()), tile_size=st.integers(1, 9))
+@settings(max_examples=30, deadline=None)
+def test_sync_steppers_match_seq_call_by_call(interior, tile_size):
+    """Each call's return value is whether the interior changed, the sink
+    frame stays empty (checked on the live plane after every call, so on
+    both planes of the steppers that swap them), and the calls to the
+    fixpoint, the sink count and the fixpoint equal the scalar reference's."""
+    ref = Grid2D.from_interior(interior)
+    seq = make_stepper(ref, "sandpile", "seq")
+    ref_calls = 1
+    while seq():
+        ref_calls += 1
+    for variant in ("vec", "frontier", "tiled", "lazy", "split"):
+        grid = Grid2D.from_interior(interior)
+        stepper = make_stepper(grid, "sandpile", variant, tile_size=tile_size)
+        calls, changed = 0, True
+        while changed:
+            before = grid.interior.copy()
+            changed = stepper()
+            calls += 1
+            assert changed == (not np.array_equal(before, grid.interior)), variant
+            assert grid.border_sum() == 0, variant
+        assert calls == ref_calls, variant
+        assert grid.sink_absorbed == ref.sink_absorbed, variant
+        assert np.array_equal(grid.interior, ref.interior), variant

@@ -123,3 +123,25 @@ class TestMakeStepper:
         g = small_random_grid.copy()
         run_to_fixpoint(g, "sandpile", "omp", tile_size=8, nworkers=2, backend="threads")
         assert np.array_equal(g.interior, small_random_stable.interior)
+
+
+#: every in-process variant of both kernels; executor variants on the sequential backend
+IN_PROCESS = [
+    (kernel, variant)
+    for kernel in ("sandpile", "asandpile")
+    for variant in REGISTRY.variants(kernel)
+]
+
+
+class TestSinkFrameAtStart:
+    """Grains already in the sink frame when a run starts count as absorbed, once."""
+
+    @pytest.mark.parametrize("kernel,variant", IN_PROCESS)
+    def test_counted_once(self, kernel, variant):
+        g = center_pile(12, 12, 100)
+        g.data[0, 3] = 2
+        opts = {"backend": "sequential"} if variant in ("omp", "pfrontier") else {}
+        run_to_fixpoint(g, kernel, variant, tile_size=4, **opts)
+        assert g.is_stable()
+        assert g.total_grains() + g.sink_absorbed == 102
+        assert g.border_sum() == 0

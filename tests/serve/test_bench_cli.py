@@ -106,6 +106,28 @@ MALFORMED = {
     "config-not-utf8": ("\xff{", "[]", "config", "cannot read config"),
     "unknown-config-key": (json.dumps({"tenants": [{"name": "a"}], "bogus": 1}), "[]",
                            "config", "unknown config keys"),
+    "workers-not-an-int": (json.dumps({"tenants": [{"name": "a"}], "workers": "two"}), "[]",
+                           "config", "workers must be int, got 'two'"),
+    "workers-a-bool": (json.dumps({"tenants": [{"name": "a"}], "workers": True}), "[]",
+                       "config", "workers must be int, got True"),
+    "cache-dir-not-a-string": (json.dumps({"tenants": [{"name": "a"}], "cache_dir": 3}), "[]",
+                               "config", "cache_dir must be str or null, got 3"),
+    "memory-cache-not-a-bool": (
+        json.dumps({"tenants": [{"name": "a"}], "memory_cache": "false"}), "[]",
+        "config", "memory_cache must be bool, got 'false'"),
+    "tenants-not-a-list": (json.dumps({"tenants": 5}), "[]", "config",
+                           "tenants must be list, got 5"),
+    "tenant-name-not-a-string": (json.dumps({"tenants": [{"name": 3}]}), "[]", "config",
+                                 "tenant name must be str, got 3"),
+    "tenant-weight-not-a-number": (
+        json.dumps({"tenants": [{"name": "a", "weight": "heavy"}]}), "[]",
+        "config", "tenant weight must be int or float, got 'heavy'"),
+    "tenant-max-active-not-an-int": (
+        json.dumps({"tenants": [{"name": "a", "max_active": 1.5}]}), "[]",
+        "config", "tenant max_active must be int, got 1.5"),
+    "tenant-max-queued-not-an-int": (
+        json.dumps({"tenants": [{"name": "a", "max_queued": "8"}]}), "[]",
+        "config", "tenant max_queued must be int, got '8'"),
 }
 
 
@@ -181,6 +203,16 @@ class TestServeCli:
         assert serve_main(list(argv)) == 0  # fresh service, same durable dir
         second = capsys.readouterr().out
         assert "[cache hit]" in second
+
+    def test_submit_param_without_equals_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            serve_main(["submit", "--substrate", "simmpi", "--workload", "world",
+                        "--param", "nranks"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --param: expected key=value, got 'nranks'" in captured.err
+        assert captured.err.startswith("usage: ")
 
     def test_submit_unknown_workload_exits_nonzero(self, capsys):
         rc = serve_main(["submit", "--substrate", "easypap", "--workload", "nope"])
