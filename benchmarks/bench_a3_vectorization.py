@@ -90,11 +90,11 @@ def test_a3_gpu_report(benchmark):
 
 
 def test_bench_vec_step(benchmark):
-    from repro.sandpile.kernels import sync_step
+    from repro.sandpile.vectorized import SyncVecStepper
 
     g = random_uniform(512, 512, max_grains=64, seed=8)
-    scratch = np.empty_like(g.data)
-    benchmark(lambda: sync_step(g, out=scratch))
+    stepper = SyncVecStepper(g)
+    benchmark(stepper)
 
 
 def test_bench_split_step(benchmark):

@@ -20,14 +20,16 @@ Kernel glossary (paper names in parentheses):
   the sweep is sliced to a rectangle containing every unstable cell.
 * :func:`unstable_bbox` / :func:`grow_window` — dirty-bounding-box helpers
   the frontier steppers use to track where activity can possibly be.
-* :func:`sync_gather` / :func:`sync_changed` — ``sync_step``'s
-  shared-shift update of one interior rectangle, and its one-call change
-  test; ``lazy`` with tiles skipped runs a few such gathers per iteration
-  over merged rectangles of active tiles.  :func:`share_views` /
-  :func:`add_shares` are the same update over fixed rectangles that
-  partition the interior (``vec``, ``split``, and ``tiled``/``lazy`` with
-  every tile active), with the views sliced once, and :func:`sink_loss`
-  their whole-interior sink count.
+* :func:`sync_gather` / :func:`sync_changed` — the synchronous update of
+  one interior rectangle from a shared shift plane, in place, and the
+  one-call change test.  The update's four neighbour shares are added by
+  :func:`add_shares` alone, through views of the shift plane
+  (:func:`share_views`).  :func:`sync_whole_step` is one whole-interior
+  step over fixed windows whose views are sliced once (``vec``,
+  ``split``, ``tiled``, ``lazy`` with every tile active, and
+  :func:`sync_step` without a window); ``lazy`` with tiles skipped runs a
+  few gathers per iteration over merged rectangles of active tiles, and
+  the fused trapezoid one per sub-step.
 * :func:`sync_tile` / :func:`async_tile_relax` — tile-local forms used by
   the tiled, lazy, and parallel variants.  ``async_tile_relax`` keeps
   toppling inside one tile until the tile is internally stable, pushing
@@ -53,6 +55,7 @@ __all__ = [
     "sync_gather",
     "share_views",
     "add_shares",
+    "sync_whole_step",
     "sink_loss",
     "sync_changed",
     "sync_tile",
@@ -139,6 +142,9 @@ def sync_step(
     (:func:`sync_gather`), which is copied back.  Returns True when any
     interior cell changed, read off the shift plane (:func:`sync_changed`).
 
+    Without a window this is :func:`sync_whole_step`, the steppers' step,
+    after draining the sink frame (the grid may arrive with grains there).
+
     *window* slices the update to a sub-rectangle ``(y0, y1, x0, x1)`` of
     the interior.  This is exact — cells outside the window cannot change
     — iff the window contains every unstable cell *grown by one cell*
@@ -146,7 +152,7 @@ def sync_step(
     window, so no grain crosses its boundary except into the sink frame.
     Sink accounting is likewise sliced: grains lost off the edge equal the
     window's grain deficit, and only windows touching the border can lose
-    any.  The whole-grid step also drains the sink frame.
+    any.
     """
     d = grid.data
     if out is None:
@@ -155,18 +161,21 @@ def sync_step(
         raise ValueError(f"scratch buffer shape {out.shape} != grid shape {d.shape}")
     if div is None:
         div = np.empty_like(d)
-    box = (0, grid.height, 0, grid.width) if window is None else window
-    y0, y1, x0, x1 = box
+    if window is None:
+        grid.drain_sink()
+        whole = share_views(div, (0, grid.height, 0, grid.width))
+        changed = sync_whole_step(grid, out, div, (whole,))
+        d[1:-1, 1:-1] = out[1:-1, 1:-1]
+        return changed
+    y0, y1, x0, x1 = window
     grown = (slice(y0, y1 + 2), slice(x0, x1 + 2))
     np.right_shift(d[grown], 2, out=div[grown])
-    new = sync_gather(d, div, out, box)
+    new = sync_gather(d, div, out, window)
     centre = d[y0 + 1 : y1 + 1, x0 + 1 : x1 + 1]
-    if _touches_border(box, grid.height, grid.width):
+    if _touches_border(window, grid.height, grid.width):
         # net window deficit == grains that toppled into the sink frame
         grid.sink_absorbed += int(centre.sum()) - int(new.sum())
     centre[...] = new
-    if window is None:
-        grid.drain_sink()
     return sync_changed(div[y0 + 1 : y1 + 1, x0 + 1 : x1 + 1])
 
 
@@ -176,23 +185,21 @@ def sync_gather(src: np.ndarray, div: np.ndarray, dst: np.ndarray, window: Windo
     *div* must hold ``src >> 2`` over the window grown by one cell, so the
     four neighbour terms are slices of one precomputed plane rather than
     four fresh shifts.  Writes the window of *dst* (a different plane from
-    *src*) and returns that view.  :func:`sync_step` runs it over its
-    window; ``lazy`` runs it once per merged rectangle of active tiles.
+    *src*) in place, ``src & 3`` then :func:`add_shares`, with no
+    temporary, and returns that view.
     """
-    y0, y1, x0, x1 = window
-    ys = slice(y0 + 1, y1 + 1)
-    xs = slice(x0 + 1, x1 + 1)
+    shares = share_views(div, window)
+    ys, xs = shares[0], shares[1]
     new = dst[ys, xs]
-    np.add(src[ys, xs] & 3, div[ys, x0:x1], out=new)
-    new += div[ys, x0 + 2 : x1 + 2]
-    new += div[y0:y1, xs]
-    new += div[y0 + 2 : y1 + 2, xs]
+    np.bitwise_and(src[ys, xs], 3, out=new)
+    add_shares(dst, (shares,))
     return new
 
 
 def share_views(div: np.ndarray, window: Window) -> tuple:
     """The interior slices of *window* and the four neighbour views of *div*
-    its update reads, for :func:`add_shares`: built once per fixed window."""
+    its update reads, for :func:`add_shares`.  A stepper whose windows
+    never change builds them once."""
     y0, y1, x0, x1 = window
     ys = slice(y0 + 1, y1 + 1)
     xs = slice(x0 + 1, x1 + 1)
@@ -200,12 +207,13 @@ def share_views(div: np.ndarray, window: Window) -> tuple:
 
 
 def add_shares(dst: np.ndarray, shares) -> None:
-    """Add every window's four neighbour shares into *dst*.
+    """Add every window's four neighbour shares into *dst*, in place.
 
     *shares* comes from :func:`share_views` over a plane holding
     ``src >> 2``; with ``dst`` holding ``src & 3`` over the windows, this
-    completes their synchronous update, as :func:`sync_gather` does, in
-    four in-place adds per window and no temporary.
+    completes their synchronous update.  Every synchronous update in
+    NumPy slices ends here: :func:`sync_gather` and
+    :func:`sync_whole_step`.
     """
     for ys, xs, west, east, north, south in shares:
         new = dst[ys, xs]
@@ -213,6 +221,30 @@ def add_shares(dst: np.ndarray, shares) -> None:
         new += east
         new += north
         new += south
+
+
+def sync_whole_step(grid: Grid2D, dst: np.ndarray, div: np.ndarray, shares) -> bool:
+    """One synchronous step of *grid*'s whole interior, written into *dst*.
+
+    *shares* (:func:`share_views` over *div*) covers windows that
+    partition the interior: the whole of it, or rectangles of tiles.  The
+    whole plane is shifted into *div* and its ``& 3`` written to *dst*,
+    then :func:`add_shares` completes every window.  The grid's sink frame
+    must be empty, as the synchronous steppers keep it, so *dst*'s frame
+    stays empty and the whole shift plane answers the change test
+    (:func:`sync_changed`).  Grains toppled off the edge are added to
+    ``grid.sink_absorbed``.  The caller swaps *dst* in
+    (``Grid2D.swap_buffer``) or copies it back.  Returns whether the step
+    changed the grid.
+    """
+    src = grid.data
+    np.right_shift(src, 2, out=div)
+    np.bitwise_and(src, 3, out=dst)
+    add_shares(dst, shares)
+    if not sync_changed(div):
+        return False
+    grid.sink_absorbed += sink_loss(div)
+    return True
 
 
 def sink_loss(div: np.ndarray) -> int:
@@ -297,21 +329,15 @@ def _gather5(
 
     ``(sy, sx)``/``(dy, dx)`` are the *framed* coordinates of the region's
     first cell in source/destination.  The region grown by one cell is
-    shifted once into scratch *q*, and its four neighbour views are added
-    in place to the region's ``& 3`` in scratch *n*, as :func:`sync_gather`
-    does, so a call allocates nothing.  Expressed entirely in ufuncs so a
-    shadow-plane source records every read (the dynamic race certifier
-    replays fused kernels through this path).
+    shifted once into scratch *q*, updated by :func:`sync_gather` into
+    scratch *n*, and copied to *d*, so a call allocates nothing.
+    Expressed entirely in ufuncs so a shadow-plane source records every
+    read (the dynamic race certifier replays fused kernels through this
+    path).
     """
-    q = q[: h + 2, : w + 2]
-    np.right_shift(s[sy - 1 : sy + h + 1, sx - 1 : sx + w + 1], 2, out=q)
-    new = n[:h, :w]
-    np.bitwise_and(s[sy : sy + h, sx : sx + w], 3, out=new)
-    new += q[1 : h + 1, 0:w]
-    new += q[1 : h + 1, 2 : w + 2]
-    new += q[0:h, 1 : w + 1]
-    new += q[2 : h + 2, 1 : w + 1]
-    d[dy : dy + h, dx : dx + w] = new
+    src = s[sy - 1 : sy + h + 1, sx - 1 : sx + w + 1]
+    np.right_shift(src, 2, out=q[: h + 2, : w + 2])
+    d[dy : dy + h, dx : dx + w] = sync_gather(src, q, n, (0, h, 0, w))
 
 
 _fused_scratch = threading.local()

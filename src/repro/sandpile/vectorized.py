@@ -10,8 +10,10 @@ tiles run a branch-free slice expression, outer tiles the careful path
 so the split's bookkeeping and benchmarks mirror the C exercise).
 
 No synchronous stepper here writes the sink frame: each drains it once,
-when built.  All but ``lazy``, whose flags need the per-tile diff, read
-whether a step changed the grid off its ``>> 2`` plane
+when built.  ``vec``, ``split`` and ``tiled`` share one whole-interior
+step (:func:`~repro.sandpile.kernels.sync_whole_step`), and all but
+``lazy``, whose flags need the per-tile diff, read whether a step changed
+the grid off its ``>> 2`` plane
 (:func:`~repro.sandpile.kernels.sync_changed`), not by comparing planes.
 
 In C a tile is a cache-sized loop nest; in NumPy one call per tile pays
@@ -40,14 +42,12 @@ from repro.easypap.tiling import TileGrid
 from repro.obs.tracer import Tracer
 from repro.sandpile.kernels import (
     Window,
-    add_shares,
     async_sweep,
     grow_window,
     share_views,
-    sink_loss,
-    sync_changed,
     sync_gather,
     sync_step,
+    sync_whole_step,
     unstable_bbox,
 )
 from repro.sandpile.lazy import LazyFlags
@@ -66,11 +66,10 @@ __all__ = [
 class SyncVecStepper:
     """Whole-grid synchronous stepper (variant ``vec``).
 
-    The other plane takes ``src & 3`` and the neighbour shares of a
-    reused ``>> 2`` plane (:func:`add_shares`), then the planes swap.  The
-    step never writes the sink frame, so the frame drained at construction
-    stays empty on both planes, and the shift plane answers the change
-    test in one call (see :func:`sync_changed`).
+    One :func:`sync_whole_step` of the whole interior into the other
+    plane, through views of a reused ``>> 2`` plane sliced once, then the
+    planes swap.  The step never writes the sink frame, so the frame
+    drained at construction stays empty on both planes.
     """
 
     def __init__(self, grid: Grid2D) -> None:
@@ -78,19 +77,12 @@ class SyncVecStepper:
         grid.drain_sink()
         self._scratch = np.zeros_like(grid.data)
         self._div = np.empty_like(grid.data)
-        self._shares = [share_views(self._div, (0, grid.height, 0, grid.width))]
+        self._shares = (share_views(self._div, (0, grid.height, 0, grid.width)),)
         self.iterations = 0
 
     def __call__(self) -> bool:
-        grid = self.grid
-        src, dst, div = grid.data, self._scratch, self._div
-        np.right_shift(src, 2, out=div)
-        np.bitwise_and(src, 3, out=dst)
-        add_shares(dst, self._shares)
-        changed = sync_changed(div)
-        if changed:
-            grid.sink_absorbed += sink_loss(div)
-        self._scratch = grid.swap_buffer(dst)
+        changed = sync_whole_step(self.grid, self._scratch, self._div, self._shares)
+        self._scratch = self.grid.swap_buffer(self._scratch)
         self.iterations += 1
         return changed
 
@@ -190,12 +182,11 @@ class SplitSyncStepper:
 
     Inner tiles (no sink contact) take the fast path: together they form
     one rectangle, updated in one gather.  Outer tiles take the careful
-    path: the border strips they form, gathered one by one.  Both paths
-    add the shares of one ``>> 2`` plane (:func:`add_shares`, views sliced
-    once) to the ``& 3`` of the whole plane; the shift plane also answers
-    the change test in one call (see :func:`sync_changed`), and the planes
-    swap instead of copying the interior back.  Counters expose how many
-    tiles ran on each path, which the A3 benchmark reports.
+    path: the border strips they form, one by one, after it.  Both are
+    windows of one :func:`sync_whole_step`, reading one ``>> 2`` plane
+    through views sliced once, and the planes swap instead of copying the
+    interior back.  Counters expose how many tiles ran on each path, which
+    the A3 benchmark reports.
     """
 
     def __init__(self, grid: Grid2D, tile_size: int = 32) -> None:
@@ -211,30 +202,19 @@ class SplitSyncStepper:
         outer = np.zeros((self.tiles.tiles_y, self.tiles.tiles_x), dtype=bool)
         for t in self._outer:
             outer[t.ty, t.tx] = True
-        # the tile set never changes: one inner rectangle (none when every
-        # tile touches the edge) and up to four border strips
-        self._inner_shares = [share_views(self._div, w) for w in self.tiles.merged_windows(~outer)]
-        self._outer_shares = [share_views(self._div, w) for w in self.tiles.merged_windows(outer)]
+        # the tile set never changes: the inner rectangle (none when every
+        # tile touches the edge), then up to four border strips
+        windows = self.tiles.merged_windows(~outer) + self.tiles.merged_windows(outer)
+        self._shares = tuple(share_views(self._div, w) for w in windows)
         self.iterations = 0
         self.inner_tile_updates = 0
         self.outer_tile_updates = 0
 
     def __call__(self) -> bool:
-        grid = self.grid
-        src, dst, div = grid.data, self._scratch, self._div
-        np.right_shift(src, 2, out=div)
-        np.bitwise_and(src, 3, out=dst)
-
-        add_shares(dst, self._inner_shares)
+        changed = sync_whole_step(self.grid, self._scratch, self._div, self._shares)
         self.inner_tile_updates += len(self._inner)
-
-        add_shares(dst, self._outer_shares)
         self.outer_tile_updates += len(self._outer)
-
-        changed = sync_changed(div)
-        if changed:
-            grid.sink_absorbed += sink_loss(div)
-        self._scratch = grid.swap_buffer(dst)
+        self._scratch = self.grid.swap_buffer(self._scratch)
         self.iterations += 1
         return changed
 
@@ -245,7 +225,7 @@ class MergedTiledStepper:
     The tile decomposition decides which cells an iteration computes and
     what it reports; the work itself runs in a few NumPy calls.  With every
     tile active the whole interior is updated as ``vec`` updates it
-    (:func:`add_shares`); otherwise the active tiles are merged into
+    (:func:`sync_whole_step`); otherwise the active tiles are merged into
     rectangles (:meth:`TileGrid.merged_windows`) and each rectangle is one
     :func:`sync_gather` from a ``>> 2`` plane shifted once over their
     bounding box.
@@ -265,7 +245,8 @@ class MergedTiledStepper:
     between calls therefore needs ``lazy_flags.reset()``, as the lazy
     flags themselves do.  With every tile computed (``tiled``), the shift
     plane answers the change test in one call (see :func:`sync_changed`);
-    ``lazy`` needs its per-tile diff for the flags anyway.
+    ``lazy`` needs its per-tile diff for the flags anyway, and a step
+    that skips tiles counts its sink loss as its box's grain deficit.
 
     :class:`~repro.sandpile.omp.TiledSyncStepper` runs the same variants
     one task per tile on any executor backend (the ``omp`` variant).
@@ -289,7 +270,7 @@ class MergedTiledStepper:
         grid.drain_sink()
         self._scratch = grid.data.copy()
         self._div = np.empty_like(grid.data)
-        self._whole = [share_views(self._div, (0, grid.height, 0, grid.width))]
+        self._whole = (share_views(self._div, (0, grid.height, 0, grid.width)),)
         self.iterations = 0
         self.tiles_computed = 0
         self.tiles_skipped = 0
@@ -302,11 +283,9 @@ class MergedTiledStepper:
         need, active = (None, ntiles) if flags is None else flags.active_mask()
         self.tiles_computed += active
         self.tiles_skipped += ntiles - active
-        whole = active == ntiles
-        if whole:
-            np.right_shift(src, 2, out=div)
-            np.bitwise_and(src, 3, out=dst)
-            add_shares(dst, self._whole)
+        box = None
+        if active == ntiles:
+            changed = sync_whole_step(grid, dst, div, self._whole)
         else:
             windows = self.tiles.merged_windows(need)
             box = _bounding_box(windows)
@@ -319,15 +298,12 @@ class MergedTiledStepper:
         if self.trace:
             self._record(need)
 
-        if flags is None:
-            changed = sync_changed(div)  # every tile computed: div is whole
-        else:
+        if flags is not None:
+            # lazy: the flags need the per-tile diff, which also answers the change test
             flags.mark_from_diff(src, dst)
             changed = flags.advance()
-        if changed:
-            if whole:
-                grid.sink_absorbed += sink_loss(div)
-            else:  # cells outside the box are equal on both planes
+            if changed and box is not None:
+                # cells outside the box are equal on both planes
                 grid.sink_absorbed += int(_view(src, box).sum()) - int(_view(dst, box).sum())
         self._scratch = grid.swap_buffer(dst)
         self.iterations += 1
